@@ -30,21 +30,38 @@ Status ExchangeProducer::Open() {
   return Status::OK();
 }
 
-Status ExchangeProducer::RouteAndBuffer(const Tuple& tuple, uint64_t seq,
-                                        bool resend) {
+Status ExchangeProducer::RouteAndBuffer(const Tuple& tuple, uint64_t seq) {
   int bucket = -1;
   const int idx = policy_->Route(tuple, &bucket);
   if (idx < 0 || idx >= num_consumers()) {
     return Status::Internal(StrCat("policy routed to invalid consumer ", idx));
   }
-  const size_t uidx = static_cast<size_t>(idx);
-
   if (config_.recovery_log_enabled) {
     log_.Append(LogRecord{seq, bucket, idx, tuple});
-    pending_overhead_ms_[uidx] += config_.log_append_cost_ms;
+    pending_overhead_ms_[static_cast<size_t>(idx)] +=
+        config_.log_append_cost_ms;
   }
-  pending_overhead_ms_[uidx] += config_.exchange_route_cost_ms;
+  return Buffer(idx, seq, bucket, tuple, /*resend=*/false);
+}
 
+Status ExchangeProducer::Resend(LogRecord* record) {
+  int bucket = -1;
+  const int idx = policy_->Route(record->tuple, &bucket);
+  if (idx < 0 || idx >= num_consumers()) {
+    return Status::Internal(StrCat("policy routed to invalid consumer ", idx));
+  }
+  // The record keeps its slot and seq; re-routing it costs what the
+  // re-append of an extracted record would.
+  record->bucket = bucket;
+  record->consumer = idx;
+  pending_overhead_ms_[static_cast<size_t>(idx)] += config_.log_append_cost_ms;
+  return Buffer(idx, record->seq, bucket, record->tuple, /*resend=*/true);
+}
+
+Status ExchangeProducer::Buffer(int idx, uint64_t seq, int bucket,
+                                const Tuple& tuple, bool resend) {
+  const size_t uidx = static_cast<size_t>(idx);
+  pending_overhead_ms_[uidx] += config_.exchange_route_cost_ms;
   buffers_[uidx].push_back(RoutedTuple{seq, bucket, tuple});
   ++stats_.tuples_to_consumer[uidx];
   if (resend) ++stats_.resent_tuples;
@@ -62,7 +79,7 @@ Result<uint64_t> ExchangeProducer::Offer(const Tuple& tuple) {
   }
   ++stats_.tuples_offered;
   const uint64_t seq = next_seq_++;
-  GQP_RETURN_IF_ERROR(RouteAndBuffer(tuple, seq, /*resend=*/false));
+  GQP_RETURN_IF_ERROR(RouteAndBuffer(tuple, seq));
   return seq;
 }
 
@@ -148,8 +165,9 @@ void ExchangeProducer::OnAck(const AckPayload& ack) {
       break;
     }
   }
+  // Claims live on the log records, so an acknowledged seq's claim goes
+  // with its record.
   log_.AckBatch(ack.seqs());
-  for (const uint64_t seq : ack.seqs()) claimed_by_.erase(seq);
   if (hooks_.on_acked) hooks_.on_acked(ack.seqs());
 }
 
@@ -227,6 +245,7 @@ Status ExchangeProducer::HandleRedistribute(
 
   InFlightRound round;
   round.id = request.round();
+  round.serial = ++rounds_opened_;
   round.recall_before_seq = next_seq_;
   // From here on every tuple is routed by the new map; stamp outgoing
   // batches so a consumer whose StateMoveRequest processing lags (it may
@@ -327,6 +346,14 @@ Status ExchangeProducer::HandleRedistribute(
   return Status::OK();
 }
 
+size_t ExchangeProducer::claimed_records() const {
+  size_t claimed = 0;
+  log_.ForEach([&claimed](const LogRecord& rec) {
+    if (rec.claimed_by >= 0) ++claimed;
+  });
+  return claimed;
+}
+
 std::string ExchangeProducer::DebugString() const {
   std::string out =
       StrCat("eos=", eos_sent_, " input_finished=", input_finished_,
@@ -373,18 +400,21 @@ Status ExchangeProducer::HandleStateMoveReply(
   // processed set is empty and resends to survivors.
   if (dead_consumers_.count(idx) > 0) return Status::OK();
   round_->awaiting_reply.erase(idx);
-  for (const uint64_t seq : reply.processed_seqs()) {
-    round_->processed.insert(seq);
+  // Both lists arrive sorted; one merge against the seq-ordered log marks
+  // the records this consumer holds. Seqs no longer logged (already
+  // acknowledged) need no mark: they can never be recalled.
+  const uint64_t serial = round_->serial;
+  log_.ForEachListed(reply.processed_seqs(), [serial, idx](LogRecord& rec) {
+    rec.held_in_round = serial;
     // Sticky claim: the consumer's outputs hold this record's results as
     // long as it lives, so later rounds must not resend it either — even
     // ones that do not consult this consumer (e.g. its bucket moved on).
-    claimed_by_[seq] = idx;
-  }
+    rec.claimed_by = idx;
+  });
   // Retained (state-resident) claims are only as durable as the bucket
   // ownership: they suppress resending for this round only.
-  for (const uint64_t seq : reply.retained_seqs()) {
-    round_->processed.insert(seq);
-  }
+  log_.ForEachListed(reply.retained_seqs(),
+                     [serial](LogRecord& rec) { rec.held_in_round = serial; });
   if (round_->awaiting_reply.empty()) return CompleteRound();
   return Status::OK();
 }
@@ -419,29 +449,34 @@ Status ExchangeProducer::CompleteRound() {
   InFlightRound round = std::move(*round_);
   round_.reset();
 
-  // Extract the recalled tuples from the log: everything in a moved
-  // bucket (or everything, for purge_all) that no consumer has fully
-  // processed.
-  std::vector<int> moved_buckets;
+  // Recall from the log everything below the watermark in a moved bucket
+  // (or everything, for purge_all/recovery) that no live consumer holds.
+  std::vector<char> moved_bucket;
   for (const auto& lost : round.lost) {
-    moved_buckets.insert(moved_buckets.end(), lost.begin(), lost.end());
+    for (const int b : lost) {
+      const size_t ub = static_cast<size_t>(b);
+      if (ub >= moved_bucket.size()) moved_bucket.resize(ub + 1, 0);
+      moved_bucket[ub] = 1;
+    }
   }
-  std::sort(moved_buckets.begin(), moved_buckets.end());
+  std::vector<char> dead(static_cast<size_t>(num_consumers()), 0);
+  for (const int c : dead_consumers_) dead[static_cast<size_t>(c)] = 1;
+  const bool everything = round.purge_all || round.recovery;
 
-  std::vector<LogRecord> recalled = log_.Extract(
-      [this, &round, &moved_buckets](const LogRecord& rec) {
-        if (rec.seq >= round.recall_before_seq) return false;
-        if (round.processed.count(rec.seq) > 0) return false;
+  std::vector<LogRecord*> recalled = log_.SelectForReroute(
+      round.recall_before_seq,
+      [&round, &moved_bucket, &dead, everything](const LogRecord& rec) {
+        if (rec.held_in_round == round.serial) return false;
         // A surviving consumer claimed this record in an earlier round:
         // its outputs still hold the results.
-        const auto claim = claimed_by_.find(rec.seq);
-        if (claim != claimed_by_.end() &&
-            dead_consumers_.count(claim->second) == 0) {
+        if (rec.claimed_by >= 0 &&
+            dead[static_cast<size_t>(rec.claimed_by)] == 0) {
           return false;
         }
-        if (round.purge_all || round.recovery) return true;
-        return std::binary_search(moved_buckets.begin(), moved_buckets.end(),
-                                  rec.bucket);
+        if (everything) return true;
+        const size_t ub = static_cast<size_t>(rec.bucket);
+        return rec.bucket >= 0 && ub < moved_bucket.size() &&
+               moved_bucket[ub] != 0;
       });
   // Processed-but-unacked records stay in the log: "processed" only means
   // the consumer holds the derived results, and those are durable nowhere
@@ -454,9 +489,9 @@ Status ExchangeProducer::CompleteRound() {
   const double extract_cost =
       static_cast<double>(recalled.size()) * config_.log_extract_cost_ms;
   if (extract_cost > 0) hooks_.submit_work(extract_cost, nullptr);
-  if (!recalled.empty()) {
+  if (!recalled.empty() && Logger::Enabled(LogLevel::kDebug)) {
     std::string seqs;
-    for (const LogRecord& rec : recalled) seqs += StrCat(" ", rec.seq);
+    for (const LogRecord* rec : recalled) seqs += StrCat(" ", rec->seq);
     GQP_LOG_DEBUG << "producer " << self_.ToString() << " round " << round.id
                   << ": recalled" << seqs;
   }
@@ -464,10 +499,11 @@ Status ExchangeProducer::CompleteRound() {
   // follow them on the same links, and parked consumers cannot release
   // credit until those markers arrive. The burst still charges the links
   // (the consumers will release it as they drain), and its size feeds the
-  // bounded-memory slack term.
+  // bounded-memory slack term. Resend never modifies the log's layout,
+  // so the recalled pointers stay valid throughout.
   credit_.BeginRecallBurst();
-  for (const LogRecord& rec : recalled) {
-    GQP_RETURN_IF_ERROR(RouteAndBuffer(rec.tuple, rec.seq, /*resend=*/true));
+  for (LogRecord* rec : recalled) {
+    GQP_RETURN_IF_ERROR(Resend(rec));
   }
   // Flush every consumer so RestoreComplete markers follow all resends.
   for (int c = 0; c < num_consumers(); ++c) {

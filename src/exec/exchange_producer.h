@@ -11,8 +11,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/distribution_policy.h"
@@ -151,6 +149,8 @@ class ExchangeProducer {
   bool round_in_flight() const { return round_.has_value(); }
   size_t log_size() const { return log_.size(); }
   const RecoveryLog& log() const { return log_; }
+  /// Log records carrying a sticky processed claim (introspection).
+  size_t claimed_records() const;
   const ProducerStats& stats() const { return stats_; }
   const DistributionPolicy* policy() const { return policy_.get(); }
   int num_consumers() const {
@@ -178,10 +178,13 @@ class ExchangeProducer {
     /// away); every record a surviving consumer does not claim in its
     /// reply is resent.
     bool recovery = false;
+    /// Producer-local serial of the round. Replies stamp it on the log
+    /// records a consumer holds (LogRecord::held_in_round): those are not
+    /// resent. Round ids come from the Responder; the serial stays unique
+    /// even if they repeat.
+    uint64_t serial = 0;
     /// Consumers whose StateMoveReply is still outstanding.
     std::set<int> awaiting_reply;
-    /// Processed seqs reported by consumers (must not be resent).
-    std::unordered_set<uint64_t> processed;
   };
 
   /// Flushes consumer `idx`'s buffer as one TupleBatch message.
@@ -194,17 +197,30 @@ class ExchangeProducer {
   /// send RestoreComplete markers and finish the round.
   Status CompleteRound();
 
-  Status RouteAndBuffer(const Tuple& tuple, uint64_t seq, bool resend);
+  /// Routes a fresh tuple, logs it and buffers it.
+  Status RouteAndBuffer(const Tuple& tuple, uint64_t seq);
+  /// Re-routes a recalled log record in place and buffers its resend.
+  Status Resend(LogRecord* record);
+  /// Buffers one routed tuple for consumer `idx`; flushes a full buffer.
+  Status Buffer(int idx, uint64_t seq, int bucket, const Tuple& tuple,
+                bool resend);
 
   SubplanId self_;
   OutputWiring wiring_;
   ExecConfig config_;
   Hooks hooks_;
   std::unique_ptr<DistributionPolicy> policy_;
+  /// Unacknowledged outputs. Its records also carry the R1 claims
+  /// (LogRecord::claimed_by, held_in_round): a consumer's StateMoveReply
+  /// marks what it holds, and recall skips a record claimed by a live
+  /// consumer, so a bucket that moves on (possibly to a consumer never
+  /// asked about the seq) cannot cause a resend and a duplicate.
   RecoveryLog log_;
   CreditLedger credit_;
 
   uint64_t next_seq_ = 1;
+  /// Retrospective rounds opened so far (InFlightRound::serial).
+  uint64_t rounds_opened_ = 0;
   /// Id of the latest retrospective round opened here; stamped on every
   /// outgoing batch. Consumers use it to fence their state-move purge
   /// against tuples already routed under the round's new map (which the
@@ -222,12 +238,6 @@ class ExchangeProducer {
   std::optional<InFlightRound> round_;
   /// Crashed consumers: never routed to, never flushed to, never awaited.
   std::set<int> dead_consumers_;
-  /// Sticky processed claims from state-move replies: seq -> consumer
-  /// index whose outputs hold the record's results. Valid while that
-  /// consumer lives; recall skips claimed records so a bucket that moves
-  /// on (possibly to a consumer never asked about the seq) cannot cause a
-  /// resend and a duplicate. Pruned as acknowledgments arrive.
-  std::unordered_map<uint64_t, int> claimed_by_;
   ProducerStats stats_;
 };
 

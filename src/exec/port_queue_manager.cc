@@ -118,14 +118,16 @@ void PortQueueManager::ParkBlocked(
 void PortQueueManager::Unpark(
     const std::function<bool(int bucket)>& still_blocked) {
   for (Port& port : ports_) {
-    for (auto it = port.parked.begin(); it != port.parked.end();) {
+    auto kept = port.parked.begin();
+    for (auto it = port.parked.begin(); it != port.parked.end(); ++it) {
       if (!still_blocked(it->rt.bucket)) {
         port.queue.push_back(std::move(*it));
-        it = port.parked.erase(it);
       } else {
-        ++it;
+        if (kept != it) *kept = std::move(*it);
+        ++kept;
       }
     }
+    port.parked.erase(kept, port.parked.end());
   }
 }
 
@@ -135,7 +137,8 @@ PortQueueManager::PurgeResult PortQueueManager::Purge(
   Port& port = ports_[static_cast<size_t>(port_idx)];
   PurgeResult result;
   auto purge = [&](std::deque<QueuedTuple>* q) {
-    for (auto it = q->begin(); it != q->end();) {
+    auto kept = q->begin();
+    for (auto it = q->begin(); it != q->end(); ++it) {
       const bool mine = it->producer_key == key;
       // Batches stamped with this round (or a later one) were routed
       // under its new map AFTER the producer froze its recall watermark:
@@ -148,12 +151,13 @@ PortQueueManager::PurgeResult PortQueueManager::Purge(
       if (mine && in_scope) {
         ++result.discarded;
         result.credit_bytes += it->wire_bytes;
-        result.seqs += StrCat(" ", it->rt.seq);
-        it = q->erase(it);
+        result.seqs.push_back(it->rt.seq);
       } else {
-        ++it;
+        if (kept != it) *kept = std::move(*it);
+        ++kept;
       }
     }
+    q->erase(kept, q->end());
   };
   purge(&port.queue);
   purge(&port.parked);

@@ -50,8 +50,8 @@ class PortQueueManager {
   struct PurgeResult {
     uint64_t discarded = 0;
     uint64_t credit_bytes = 0;
-    /// " seq seq ..." for the discard debug log.
-    std::string seqs;
+    /// Discarded seqs, queue before parked, each in FIFO order.
+    std::vector<uint64_t> seqs;
   };
 
   PortQueueManager(GridNode* node, Simulator* simulator,
@@ -91,12 +91,14 @@ class PortQueueManager {
   /// Moves blocked front tuples to the parked queue until the front is
   /// runnable or the queue drains.
   void ParkBlocked(int port, const std::function<bool(int bucket)>& blocked);
-  /// Re-queues parked tuples whose bucket became runnable again.
+  /// Re-queues parked tuples whose bucket became runnable again, in
+  /// parked order; the rest stay parked in order. One pass per port.
   void Unpark(const std::function<bool(int bucket)>& still_blocked);
 
   /// Removes unprocessed tuples of `key` below `round` on the port —
   /// every bucket when `unconditional` (purge_all/recovery), else only
-  /// `buckets_lost`. The caller releases the returned credit bytes.
+  /// `buckets_lost`. Survivors keep their FIFO order; each queue is
+  /// compacted in one pass. The caller releases the returned credit bytes.
   PurgeResult Purge(int port, const std::string& key, uint64_t round,
                     bool unconditional, const std::vector<int>& buckets_lost);
 

@@ -9,6 +9,21 @@
 
 namespace gqp {
 
+namespace {
+
+/// Adds `seq` to an ascending, duplicate-free list. Seqs mostly arrive in
+/// order (an append); a resent tuple lands in the middle.
+void InsertSorted(std::vector<uint64_t>* seqs, uint64_t seq) {
+  if (seqs->empty() || seqs->back() < seq) {
+    seqs->push_back(seq);
+    return;
+  }
+  const auto it = std::lower_bound(seqs->begin(), seqs->end(), seq);
+  if (*it != seq) seqs->insert(it, seq);
+}
+
+}  // namespace
+
 StateManager::StateManager(GridNode* node, const ExecConfig* config,
                            const SubplanId& self, FragmentStats* stats,
                            Hooks hooks)
@@ -46,7 +61,7 @@ void StateManager::RecordProcessed(int port, const std::string& key,
     it->second.retained_unacked.push_back(Entry::RetainedInput{seq, bucket});
     return;
   }
-  it->second.processed.insert(seq);
+  InsertSorted(&it->second.processed, seq);
   if (output_seqs.empty() || !has_producer) {
     AckInput(port, key, seq, finished);
     return;
@@ -165,8 +180,9 @@ void StateManager::ApplyStateMove(const StateMoveRequestPayload& request,
   queues->ReleaseCredit(port, key, purged.credit_bytes);
   if (purged.discarded > 0) {
     GQP_LOG_DEBUG << "fragment " << self_.ToString() << " round "
-                  << request.round() << ": discarded" << purged.seqs
-                  << " from " << key << " (producer will resend)";
+                  << request.round() << ": discarded "
+                  << StrJoin(purged.seqs, " ") << " from " << key
+                  << " (producer will resend)";
   }
   stats_->tuples_discarded_in_moves += purged.discarded;
   if (purged.discarded > 0) {
@@ -289,8 +305,7 @@ void StateManager::BuildReply(int port, const std::string& key,
   const auto& producers = ports_[static_cast<size_t>(port)];
   auto it = producers.find(key);
   if (it == producers.end()) return;
-  processed->assign(it->second.processed.begin(), it->second.processed.end());
-  std::sort(processed->begin(), processed->end());
+  *processed = it->second.processed;
   for (const Entry::RetainedInput& r : it->second.retained_unacked) {
     if (!BucketInList(r.bucket, buckets_lost)) {
       retained->push_back(r.seq);
@@ -304,8 +319,7 @@ StateManager::ProcessedSeqs(int port) const {
   std::unordered_map<std::string, std::vector<uint64_t>> out;
   if (port < 0 || static_cast<size_t>(port) >= ports_.size()) return out;
   for (const auto& [key, entry] : ports_[static_cast<size_t>(port)]) {
-    out[key] = std::vector<uint64_t>(entry.processed.begin(),
-                                     entry.processed.end());
+    out[key] = entry.processed;
   }
   return out;
 }

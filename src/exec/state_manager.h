@@ -131,7 +131,8 @@ class StateManager {
   void PruneRetained(int port, const std::string& key,
                      const std::vector<int>& buckets_lost);
   /// Sorted processed seqs + sorted retained seqs of kept buckets, for a
-  /// StateMoveReply (nothing this consumer holds may be resent).
+  /// StateMoveReply (nothing this consumer holds may be resent). The
+  /// processed list is copied as kept; only the retained seqs are sorted.
   void BuildReply(int port, const std::string& key,
                   const std::vector<int>& buckets_lost,
                   std::vector<uint64_t>* processed,
@@ -149,8 +150,9 @@ class StateManager {
     Address address;
     std::unique_ptr<AckBatcher> acks;
     /// Every seq of this producer whose processing completed here (never
-    /// resent by state moves).
-    std::unordered_set<uint64_t> processed;
+    /// resent by state moves); ascending and duplicate-free, so a
+    /// StateMoveReply copies it as is.
+    std::vector<uint64_t> processed;
     /// A state-resident (retained) input and the bucket its state lives
     /// in: it stays "needed" until the fragment has finished AND all of
     /// its outputs are acknowledged downstream — until then it is the

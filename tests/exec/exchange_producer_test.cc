@@ -258,6 +258,53 @@ TEST(ExchangeProducerTest, DeadConsumerRecoveredWithoutReply) {
   }
 }
 
+TEST(ExchangeProducerTest, ClaimsStayBoundedByTheLog) {
+  Harness h(PolicyKind::kWeightedRoundRobin);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(h.producer->Offer(KeyTuple("k")).ok());
+  }
+  // Round 1: consumer 0 processed 1 2, consumer 1 processed 3.
+  ASSERT_TRUE(h.producer
+                  ->HandleRedistribute(
+                      RedistributeRequestPayload(1, 2, {0.5, 0.5}, true))
+                  .ok());
+  ASSERT_TRUE(h.producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      1, 7, SubplanId{1, 2, 0}, {1, 2}, {}, 0))
+                  .ok());
+  ASSERT_TRUE(h.producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      1, 7, SubplanId{1, 2, 1}, {3}, {}, 0))
+                  .ok());
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u);  // 4 5 6
+  EXPECT_EQ(h.producer->claimed_records(), 3u);
+
+  // Their acknowledgments prune the records and the claims with them.
+  h.producer->OnAck(AckPayload(7, SubplanId{1, 2, 0}, {1, 2}));
+  h.producer->OnAck(AckPayload(7, SubplanId{1, 2, 1}, {3}));
+  EXPECT_EQ(h.producer->claimed_records(), 0u);
+
+  // Round 2: a consumer's processed set is never pruned, so the replies
+  // list the acknowledged seqs again. Only the log-resident ones (4, 5)
+  // are claimed; nothing is left to resend.
+  ASSERT_TRUE(h.producer
+                  ->HandleRedistribute(
+                      RedistributeRequestPayload(2, 2, {0.5, 0.5}, true))
+                  .ok());
+  ASSERT_TRUE(h.producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      2, 7, SubplanId{1, 2, 0}, {1, 2, 4}, {}, 0))
+                  .ok());
+  ASSERT_TRUE(h.producer
+                  ->HandleStateMoveReply(StateMoveReplyPayload(
+                      2, 7, SubplanId{1, 2, 1}, {3, 5}, {6}, 0))
+                  .ok());
+  EXPECT_EQ(h.producer->log().PendingSeqs(),
+            (std::vector<uint64_t>{4, 5, 6}));
+  EXPECT_EQ(h.producer->claimed_records(), 2u);
+  EXPECT_EQ(h.producer->stats().resent_tuples, 3u);
+}
+
 TEST(ExchangeProducerTest, OnAckedHookFires) {
   OutputWiring wiring;
   wiring.desc.id = 1;

@@ -219,14 +219,14 @@ TEST(PortQueueManagerTest, PurgeScopesByRoundBucketAndProducer) {
                                 /*buckets_lost=*/{1});
   EXPECT_EQ(result.discarded, 1u);
   EXPECT_EQ(result.credit_bytes, wb);
-  EXPECT_EQ(result.seqs, " 10");
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{10}));
   EXPECT_EQ(h.queues->QueuedTuples(0), 3u);
 
   // Unconditional purge (recovery) sweeps every remaining round-0 tuple
   // of the producer regardless of bucket.
   result = h.queues->Purge(0, "p", /*round=*/1, /*unconditional=*/true, {});
   EXPECT_EQ(result.discarded, 1u);
-  EXPECT_EQ(result.seqs, " 11");
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{11}));
   EXPECT_EQ(h.queues->QueuedTuples(0), 2u);
 }
 
@@ -247,6 +247,68 @@ TEST(PortQueueManagerTest, PurgeReachesParkedTuples) {
 
   h.queues->Unpark([](int) { return false; });
   EXPECT_EQ(h.queues->queue_size(0), 1u);
+}
+
+/// Drains a port's runnable queue, returning the popped seqs in order.
+std::vector<uint64_t> DrainSeqs(PortQueueManager* queues, int port) {
+  std::vector<uint64_t> seqs;
+  while (!queues->QueueEmpty(port)) {
+    seqs.push_back(queues->PopFront(port).rt.seq);
+  }
+  return seqs;
+}
+
+TEST(PortQueueManagerTest, PurgeKeepsFifoOrderOfSurvivors) {
+  Harness h;
+  h.queues->AddPort(1);
+  h.queues->RegisterProducer(0, "p", Address{1, "p"}, 7);
+  h.queues->RegisterProducer(0, "other", Address{2, "other"}, 7);
+
+  // Queue: p/1 p/2 other/1 p/1 p/3 p/2, seqs 1..6 (other's seq is 3).
+  h.Enqueue(0, "p", 0, {{"aa", 1}, {"aa", 2}}, /*first_seq=*/1);
+  h.Enqueue(0, "other", 0, {{"aa", 1}}, /*first_seq=*/3);
+  h.Enqueue(0, "p", 0, {{"aa", 1}, {"aa", 3}, {"aa", 2}}, /*first_seq=*/4);
+  // Park the leading bucket-1/2 run, then queue more behind it: parked
+  // 1 2 3 4, queued 5 6 7 8.
+  h.queues->ParkBlocked(0, [](int bucket) { return bucket != 3; });
+  h.Enqueue(0, "p", 0, {{"aa", 2}, {"aa", 1}}, /*first_seq=*/7);
+  ASSERT_EQ(h.queues->parked_size(0), 4u);
+  ASSERT_EQ(h.queues->queue_size(0), 4u);
+
+  const auto result = h.queues->Purge(0, "p", /*round=*/1,
+                                      /*unconditional=*/false,
+                                      /*buckets_lost=*/{2});
+  // Queue first, then parked, each in FIFO order.
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{6, 7, 2}));
+  EXPECT_EQ(result.discarded, 3u);
+
+  h.queues->Unpark([](int) { return false; });
+  // Survivors: queued 5 8, then the parked 1 3 4 appended in order.
+  EXPECT_EQ(DrainSeqs(h.queues.get(), 0),
+            (std::vector<uint64_t>{5, 8, 1, 3, 4}));
+}
+
+TEST(PortQueueManagerTest, UnparkKeepsFifoOrderOfMovedAndParkedTuples) {
+  Harness h;
+  h.queues->AddPort(1);
+  h.queues->RegisterProducer(0, "p", Address{1, "p"}, 7);
+
+  h.Enqueue(0, "p", 0,
+            {{"aa", 1}, {"aa", 2}, {"aa", 1}, {"aa", 3}, {"aa", 2}, {"aa", 1}},
+            /*first_seq=*/10);
+  h.queues->ParkBlocked(0, [](int) { return true; });
+  ASSERT_EQ(h.queues->parked_size(0), 6u);
+  h.Enqueue(0, "p", 0, {{"aa", 4}}, /*first_seq=*/20);
+
+  // Buckets 1 and 3 become runnable: they join the queue behind seq 20 in
+  // parked order; bucket 2 stays parked in order.
+  h.queues->Unpark([](int bucket) { return bucket == 2; });
+  EXPECT_EQ(h.queues->parked_size(0), 2u);
+  EXPECT_EQ(DrainSeqs(h.queues.get(), 0),
+            (std::vector<uint64_t>{20, 10, 12, 13, 15}));
+
+  h.queues->Unpark([](int) { return false; });
+  EXPECT_EQ(DrainSeqs(h.queues.get(), 0), (std::vector<uint64_t>{11, 14}));
 }
 
 TEST(PortQueueManagerTest, PickRunnablePortDrainsEarlierPortsFirst) {

@@ -175,6 +175,20 @@ TEST(StateManagerTest, BuildReplySortsAndFiltersLostBuckets) {
   EXPECT_EQ(retained, (std::vector<uint64_t>{15}));
 }
 
+TEST(StateManagerTest, ProcessedSetStaysSortedAndDuplicateFree) {
+  Harness h(/*checkpoint_interval=*/100);
+  // Resent tuples arrive below seqs already processed, and a resend of a
+  // tuple processed before may be processed again.
+  for (const uint64_t seq : {5, 9, 3, 9, 12, 1, 5, 10}) h.Process(seq);
+  const std::vector<uint64_t> want = {1, 3, 5, 9, 10, 12};
+  std::vector<uint64_t> processed;
+  std::vector<uint64_t> retained;
+  h.state->BuildReply(0, "p", /*buckets_lost=*/{}, &processed, &retained);
+  EXPECT_EQ(processed, want);
+  EXPECT_TRUE(retained.empty());
+  EXPECT_EQ(h.state->ProcessedSeqs(0).at("p"), want);
+}
+
 TEST(StateManagerTest, RoundLifecycleGatesQuiescence) {
   Harness h;
   EXPECT_TRUE(h.state->quiescent());
