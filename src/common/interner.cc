@@ -8,9 +8,9 @@ namespace gqp {
 
 std::string_view InternString(std::string_view s) {
   // Leaky singleton: interned tags must outlive every node work item,
-  // including ones that outlive their submitting executor. Mutexed
-  // unconditionally: operator construction (deploy events) can run on
-  // shard worker threads, and interning is far off the hot path.
+  // including ones that outlive their submitting executor. Mutexed so the
+  // function is safe from any thread; interning happens only at operator
+  // construction, far off the hot path, so the lock costs nothing.
   static std::mutex* mu = new std::mutex();
   static auto* interned = new std::unordered_set<std::string, StringHash,
                                                  std::equal_to<>>();

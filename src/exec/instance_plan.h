@@ -7,6 +7,7 @@
 #define GRIDQP_EXEC_INSTANCE_PLAN_H_
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -23,9 +24,32 @@ namespace gqp {
 /// Work-item tag every exchange-machinery CPU charge runs under.
 inline constexpr std::string_view kExchangeTag = "op:exchange";
 
-inline bool BucketInList(int bucket, const std::vector<int>& buckets) {
-  return std::find(buckets.begin(), buckets.end(), bucket) != buckets.end();
-}
+/// Membership test over a bucket list (a state move's lost buckets),
+/// built once per call so each per-entry check is a bit test instead of
+/// a scan of the list. Accepts lists in any order and with duplicates.
+/// Ids in [0, kBits) — every bucket of a plan with up to kBits buckets —
+/// live in an inline bitmap (no allocation); other ids fall back to
+/// scanning the list.
+class BucketSet {
+ public:
+  explicit BucketSet(const std::vector<int>& buckets) : list_(buckets) {
+    for (const int b : buckets) {
+      if (InRange(b)) bits_.set(static_cast<size_t>(b));
+    }
+  }
+
+  bool contains(int bucket) const {
+    if (InRange(bucket)) return bits_.test(static_cast<size_t>(bucket));
+    return std::find(list_.begin(), list_.end(), bucket) != list_.end();
+  }
+
+ private:
+  static constexpr int kBits = 1024;
+  static bool InRange(int bucket) { return bucket >= 0 && bucket < kBits; }
+
+  const std::vector<int>& list_;
+  std::bitset<kBits> bits_;
+};
 
 /// Wiring of one input port.
 struct InputWiring {

@@ -136,6 +136,7 @@ PortQueueManager::PurgeResult PortQueueManager::Purge(
     const std::vector<int>& buckets_lost) {
   Port& port = ports_[static_cast<size_t>(port_idx)];
   PurgeResult result;
+  const BucketSet lost(buckets_lost);
   auto purge = [&](std::deque<QueuedTuple>* q) {
     auto kept = q->begin();
     for (auto it = q->begin(); it != q->end(); ++it) {
@@ -147,7 +148,7 @@ PortQueueManager::PurgeResult PortQueueManager::Purge(
       // deferred behind a slow in-flight tuple.
       const bool in_scope =
           it->round < round &&
-          (unconditional || BucketInList(it->rt.bucket, buckets_lost));
+          (unconditional || lost.contains(it->rt.bucket));
       if (mine && in_scope) {
         ++result.discarded;
         result.credit_bytes += it->wire_bytes;

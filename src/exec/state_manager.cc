@@ -290,12 +290,12 @@ void StateManager::PruneRetained(int port, const std::string& key,
   auto it = producers.find(key);
   if (it == producers.end()) return;
   auto& retained = it->second.retained_unacked;
-  retained.erase(
-      std::remove_if(retained.begin(), retained.end(),
-                     [&buckets_lost](const Entry::RetainedInput& r) {
-                       return BucketInList(r.bucket, buckets_lost);
-                     }),
-      retained.end());
+  const BucketSet lost(buckets_lost);
+  retained.erase(std::remove_if(retained.begin(), retained.end(),
+                                [&lost](const Entry::RetainedInput& r) {
+                                  return lost.contains(r.bucket);
+                                }),
+                 retained.end());
 }
 
 void StateManager::BuildReply(int port, const std::string& key,
@@ -306,8 +306,9 @@ void StateManager::BuildReply(int port, const std::string& key,
   auto it = producers.find(key);
   if (it == producers.end()) return;
   *processed = it->second.processed;
+  const BucketSet lost(buckets_lost);
   for (const Entry::RetainedInput& r : it->second.retained_unacked) {
-    if (!BucketInList(r.bucket, buckets_lost)) {
+    if (!lost.contains(r.bucket)) {
       retained->push_back(r.seq);
     }
   }

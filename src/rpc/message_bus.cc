@@ -5,21 +5,12 @@
 
 namespace gqp {
 
-MessageBus::HostEndpoints* MessageBus::SlotFor(HostId host) const {
-  const size_t index = static_cast<size_t>(host);
-  if (host < 0 || index >= hosts_.size()) return nullptr;
-  return hosts_[index].get();
-}
-
 Status MessageBus::RegisterEndpoint(const Address& addr, Handler handler) {
   if (addr.host == kInvalidHost || addr.service.empty()) {
     return Status::InvalidArgument("endpoint needs a host and service name");
   }
   EnsureHostRegistered(addr.host);
-  HostEndpoints* slot = SlotFor(addr.host);
-  auto [it, inserted] = slot->endpoints.emplace(addr, std::move(handler));
-  (void)it;
-  if (!inserted) {
+  if (!endpoints_.emplace(addr, std::move(handler)).second) {
     return Status::AlreadyExists(
         StrCat("endpoint already registered: ", addr.ToString()));
   }
@@ -27,15 +18,11 @@ Status MessageBus::RegisterEndpoint(const Address& addr, Handler handler) {
 }
 
 void MessageBus::UnregisterEndpoint(const Address& addr) {
-  if (HostEndpoints* slot = SlotFor(addr.host)) slot->endpoints.erase(addr);
+  endpoints_.erase(addr);
 }
 
 void MessageBus::EnsureHostRegistered(HostId host) {
-  if (host < 0) return;
-  const size_t index = static_cast<size_t>(host);
-  if (index >= hosts_.size()) hosts_.resize(index + 1);
-  if (hosts_[index] == nullptr) {
-    hosts_[index] = std::make_unique<HostEndpoints>();
+  if (hosts_.insert(host).second) {
     network_->RegisterHost(host,
                            [this](const Message& msg) { Deliver(msg); });
   }
@@ -75,26 +62,15 @@ void MessageBus::Deliver(const Message& msg) {
 }
 
 void MessageBus::DispatchToEndpoint(const Message& msg) {
-  HostEndpoints* slot = SlotFor(msg.to.host);
-  if (slot != nullptr) {
-    auto it = slot->endpoints.find(msg.to);
-    if (it != slot->endpoints.end()) {
-      it->second(msg);
-      return;
-    }
-    ++slot->dropped;
+  auto it = endpoints_.find(msg.to);
+  if (it != endpoints_.end()) {
+    it->second(msg);
+    return;
   }
+  ++dropped_;
   GQP_LOG_DEBUG << "dropping message for unknown endpoint "
                 << msg.to.ToString() << " (type "
                 << (msg.payload ? msg.payload->TypeName() : "null") << ")";
-}
-
-uint64_t MessageBus::dropped_messages() const {
-  uint64_t total = 0;
-  for (const auto& slot : hosts_) {
-    if (slot != nullptr) total += slot->dropped;
-  }
-  return total;
 }
 
 }  // namespace gqp

@@ -40,12 +40,6 @@ int QueryOfService(std::string_view service) {
   return 0;
 }
 
-/// Decorrelates the per-host jitter streams from the global one (and from
-/// each other) without new configuration surface.
-uint64_t HostJitterSeed(uint64_t base, HostId host) {
-  return base ^ (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(host + 1));
-}
-
 }  // namespace
 
 int QueryOf(const Message& msg) {
@@ -62,47 +56,11 @@ ReliableTransport::ReliableTransport(Network* network,
       deliver_(std::move(deliver)),
       jitter_rng_(config.jitter_seed) {}
 
-void ReliableTransport::EnsureHosts(int num_hosts) {
-  if (num_hosts <= 0) return;
-  if (hosts_.size() < static_cast<size_t>(num_hosts)) {
-    hosts_.resize(static_cast<size_t>(num_hosts));
-  }
-  for (HostId h = 0; h < num_hosts; ++h) {
-    if (hosts_[static_cast<size_t>(h)] == nullptr) {
-      auto state = std::make_unique<HostState>();
-      state->jitter = Rng(HostJitterSeed(config_.jitter_seed, h));
-      hosts_[static_cast<size_t>(h)] = std::move(state);
-    }
-  }
-}
-
-ReliableTransport::HostState& ReliableTransport::ForHost(HostId host) {
-  // Lazy growth only happens sequentially; sharded setups pre-create every
-  // host via EnsureHosts before workers exist.
-  if (host < 0) host = 0;
-  if (static_cast<size_t>(host) >= hosts_.size() ||
-      hosts_[static_cast<size_t>(host)] == nullptr) {
-    EnsureHosts(host + 1);
-  }
-  return *hosts_[static_cast<size_t>(host)];
-}
-
-double ReliableTransport::NextJitterDraw(HostId src) {
-  // Sequential runs keep the original single stream and its draw order
-  // (byte-identical schedules); sharded runs cannot have a global order,
-  // so each source host owns an independent seeded stream. Differential
-  // references force the per-host streams sequentially too, so both
-  // kernels draw identical jitter (Network::ForceShardRngStreams).
-  if (network_->shard_rng_streams()) return ForHost(src).jitter.NextDouble();
-  return jitter_rng_.NextDouble();
-}
-
 Status ReliableTransport::Send(Message msg) {
   const HostId src = msg.from.host;
   const HostId dst = msg.to.host;
   const int query = QueryOf(msg);
-  HostState& host = ForHost(src);
-  SenderChannel& ch = host.senders[dst];
+  SenderChannel& ch = senders_[{src, dst}];
   const uint64_t seq = ch.next_seq;
 
   Message envelope;
@@ -117,8 +75,8 @@ Status ReliableTransport::Send(Message msg) {
   // the gap forever.
   if (!sent.ok()) return sent;
   ++ch.next_seq;
-  ++host.stats.sent;
-  ++QueryStats(src, query).sent;
+  ++stats_.sent;
+  ++QueryStats(query).sent;
 
   Pending pending;
   pending.envelope = std::move(envelope);
@@ -131,21 +89,18 @@ Status ReliableTransport::Send(Message msg) {
 
 void ReliableTransport::ScheduleRetransmit(HostId src, HostId dst,
                                            uint64_t seq) {
-  Pending& p = ForHost(src).senders[dst].pending[seq];
+  Pending& p = senders_[{src, dst}].pending[seq];
   const double jitter =
       config_.jitter_frac > 0.0
-          ? p.rto_ms * config_.jitter_frac * NextJitterDraw(src)
+          ? p.rto_ms * config_.jitter_frac * jitter_rng_.NextDouble()
           : 0.0;
-  // The timer is a shard-local event on src's simulator, like every other
-  // piece of sender-side channel state.
-  p.timer = network_->SimulatorFor(src)->Schedule(
+  p.timer = network_->simulator()->Schedule(
       p.rto_ms + jitter, [this, src, dst, seq] { OnTimeout(src, dst, seq); });
 }
 
 void ReliableTransport::OnTimeout(HostId src, HostId dst, uint64_t seq) {
-  HostState& host = ForHost(src);
-  auto ch_it = host.senders.find(dst);
-  if (ch_it == host.senders.end()) return;
+  auto ch_it = senders_.find({src, dst});
+  if (ch_it == senders_.end()) return;
   auto it = ch_it->second.pending.find(seq);
   if (it == ch_it->second.pending.end()) return;
   Pending& p = it->second;
@@ -154,19 +109,19 @@ void ReliableTransport::OnTimeout(HostId src, HostId dst, uint64_t seq) {
   // forever. Retry exhaustion is the lossless-hang safety net.
   if (network_->HostDown(src) || network_->HostDown(dst) ||
       p.retries >= config_.max_retries) {
-    ++host.stats.abandoned;
-    ++QueryStats(src, p.query).abandoned;
+    ++stats_.abandoned;
+    ++QueryStats(p.query).abandoned;
     ch_it->second.pending.erase(it);
     return;
   }
 
   ++p.retries;
-  ++host.stats.retransmits;
-  ++QueryStats(src, p.query).retransmits;
+  ++stats_.retransmits;
+  ++QueryStats(p.query).retransmits;
   (void)network_->Send(p.envelope);
   if (p.rto_ms < config_.max_rto_ms) {
-    ++host.stats.backoffs;
-    ++QueryStats(src, p.query).backoffs;
+    ++stats_.backoffs;
+    ++QueryStats(p.query).backoffs;
   }
   p.rto_ms = std::min(p.rto_ms * 2.0, config_.max_rto_ms);
   ScheduleRetransmit(src, dst, seq);
@@ -186,24 +141,21 @@ bool ReliableTransport::MaybeHandle(const Message& msg) {
 
 void ReliableTransport::OnEnvelope(const Message& msg,
                                    const ReliableEnvelopePayload& env) {
-  // Runs on the destination host's shard; all state touched here belongs
-  // to msg.to.host.
-  HostState& host = ForHost(msg.to.host);
   // Always ack, duplicates included: the sender retransmitted because the
   // previous ack may itself have been lost.
   const int query = QueryOf(msg);  // the envelope keeps the inner addresses
-  ++host.stats.acks_sent;
-  ++QueryStats(msg.to.host, query).acks_sent;
+  ++stats_.acks_sent;
+  ++QueryStats(query).acks_sent;
   Message ack;
   ack.from = Address{msg.to.host, kTransportService};
   ack.to = Address{msg.from.host, kTransportService};
   ack.payload = std::make_shared<ReliableAckPayload>(env.seq());
   (void)network_->Send(std::move(ack));
 
-  ReceiverChannel& ch = host.receivers[msg.from.host];
+  ReceiverChannel& ch = receivers_[{msg.from.host, msg.to.host}];
   if (env.seq() < ch.next_expected || ch.holdback.count(env.seq()) > 0) {
-    ++host.stats.dedup_hits;
-    ++QueryStats(msg.to.host, query).dedup_hits;
+    ++stats_.dedup_hits;
+    ++QueryStats(query).dedup_hits;
     return;
   }
   Message inner;
@@ -220,68 +172,34 @@ void ReliableTransport::OnEnvelope(const Message& msg,
     Message release = std::move(it->second);
     ch.holdback.erase(it);
     ++ch.next_expected;
-    ++host.stats.delivered;
-    ++QueryStats(msg.to.host, QueryOf(release)).delivered;
+    ++stats_.delivered;
+    ++QueryStats(QueryOf(release)).delivered;
     deliver_(release);
   }
 }
 
 void ReliableTransport::OnAck(const Message& msg,
                               const ReliableAckPayload& ack) {
-  // The ack flows dst -> src of the original send; it is delivered on the
-  // original sender's shard and only touches that host's sender state.
-  const HostId src = msg.to.host;
-  HostState& host = ForHost(src);
-  ++host.stats.acks_received;
-  auto ch_it = host.senders.find(msg.from.host);
-  if (ch_it == host.senders.end()) return;
+  // The ack flows dst -> src of the original send.
+  ++stats_.acks_received;
+  auto ch_it = senders_.find({msg.to.host, msg.from.host});
+  if (ch_it == senders_.end()) return;
   auto it = ch_it->second.pending.find(ack.seq());
   if (it == ch_it->second.pending.end()) return;
-  ++QueryStats(src, it->second.query).acks_received;
-  network_->SimulatorFor(src)->Cancel(it->second.timer);
+  ++QueryStats(it->second.query).acks_received;
+  network_->simulator()->Cancel(it->second.timer);
   ch_it->second.pending.erase(it);
 }
 
-namespace {
-
-void AccumulateStats(ReliableStats* into, const ReliableStats& from) {
-  into->sent += from.sent;
-  into->retransmits += from.retransmits;
-  into->backoffs += from.backoffs;
-  into->acks_sent += from.acks_sent;
-  into->acks_received += from.acks_received;
-  into->dedup_hits += from.dedup_hits;
-  into->delivered += from.delivered;
-  into->abandoned += from.abandoned;
-}
-
-}  // namespace
-
-const ReliableStats& ReliableTransport::stats() const {
-  merged_stats_ = ReliableStats{};
-  for (const auto& host : hosts_) {
-    if (host != nullptr) AccumulateStats(&merged_stats_, host->stats);
-  }
-  return merged_stats_;
-}
-
 const ReliableStats& ReliableTransport::stats_for_query(int query) const {
-  ReliableStats& merged = merged_by_query_[query];
-  merged = ReliableStats{};
-  for (const auto& host : hosts_) {
-    if (host == nullptr) continue;
-    auto it = host->by_query.find(query);
-    if (it != host->by_query.end()) AccumulateStats(&merged, it->second);
-  }
-  return merged;
+  static const ReliableStats kNoTraffic;
+  auto it = by_query_.find(query);
+  return it == by_query_.end() ? kNoTraffic : it->second;
 }
 
 size_t ReliableTransport::pending() const {
   size_t n = 0;
-  for (const auto& host : hosts_) {
-    if (host == nullptr) continue;
-    for (const auto& [dst, ch] : host->senders) n += ch.pending.size();
-  }
+  for (const auto& [channel, ch] : senders_) n += ch.pending.size();
   return n;
 }
 

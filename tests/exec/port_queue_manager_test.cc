@@ -228,6 +228,20 @@ TEST(PortQueueManagerTest, PurgeScopesByRoundBucketAndProducer) {
   EXPECT_EQ(result.discarded, 1u);
   EXPECT_EQ(result.seqs, (std::vector<uint64_t>{11}));
   EXPECT_EQ(h.queues->QueuedTuples(0), 2u);
+
+  // Several lost buckets, listed unsorted and with a duplicate, plus
+  // bucket 99 that no queued tuple holds and bucket 2000 past the lookup's
+  // inline bitmap: exactly the tuples in listed buckets go, in FIFO order.
+  h.Enqueue(0, "p", /*round=*/0,
+            {{"aa", 5}, {"aa", 1}, {"aa", 7}, {"aa", 5}, {"aa", 3},
+             {"aa", 2000}, {"aa", 2001}},
+            /*first_seq=*/30);
+  result = h.queues->Purge(0, "p", /*round=*/1, /*unconditional=*/false,
+                           /*buckets_lost=*/{7, 5, 99, 2000, 5});
+  EXPECT_EQ(result.discarded, 4u);
+  EXPECT_EQ(result.credit_bytes, 4 * wb);
+  EXPECT_EQ(result.seqs, (std::vector<uint64_t>{30, 32, 33, 35}));
+  EXPECT_EQ(h.queues->QueuedTuples(0), 5u);
 }
 
 TEST(PortQueueManagerTest, PurgeReachesParkedTuples) {

@@ -7,6 +7,7 @@
 #include "exec/state_manager.h"
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +153,24 @@ TEST(StateManagerTest, PruneRetainedForgetsMovedBuckets) {
   auto acks = h.Acks();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0]->seqs(), (std::vector<uint64_t>{1}));
+
+  // Several lost buckets, listed unsorted and with a duplicate, plus
+  // bucket 50 that no retained entry holds and bucket 2000 past the
+  // lookup's inline bitmap: only the entries in listed buckets go.
+  Harness many(/*checkpoint_interval=*/1);
+  const std::vector<std::pair<uint64_t, int>> seq_buckets = {
+      {1, 0}, {2, 4}, {3, 2}, {4, 7}, {5, 9}, {6, 2000}, {7, 2001}};
+  for (const auto& [seq, bucket] : seq_buckets) {
+    many.state->RecordProcessed(0, "p", seq, bucket, /*retained=*/true, {},
+                                true, false);
+  }
+  many.state->PruneRetained(0, "p",
+                            /*buckets_lost=*/{9, 4, 50, 2, 4, 2000});
+  many.state->AckAllRetained();
+  many.sim.Run();
+  acks = many.Acks();
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0]->seqs(), (std::vector<uint64_t>{1, 4, 7}));
 }
 
 TEST(StateManagerTest, BuildReplySortsAndFiltersLostBuckets) {
@@ -173,6 +192,22 @@ TEST(StateManagerTest, BuildReplySortsAndFiltersLostBuckets) {
   // Bucket 1 is leaving: its retained seqs are NOT claimed (the new owner
   // needs the producer to resend them).
   EXPECT_EQ(retained, (std::vector<uint64_t>{15}));
+
+  // Several lost buckets, unsorted, duplicated, one (bucket 8) beyond
+  // every retained entry and one (bucket 1500) past the lookup's inline
+  // bitmap: the reply claims exactly the retained seqs of kept buckets.
+  const std::vector<std::pair<uint64_t, int>> seq_buckets = {
+      {30, 3}, {31, 5}, {32, 0}, {33, 1500}, {34, 5}, {35, 2}, {36, 1501}};
+  for (const auto& [seq, bucket] : seq_buckets) {
+    h.state->RecordProcessed(0, "p", seq, bucket, /*retained=*/true, {}, true,
+                             false);
+  }
+  processed.clear();
+  retained.clear();
+  h.state->BuildReply(0, "p", /*buckets_lost=*/{5, 1, 8, 1500, 5},
+                      &processed, &retained);
+  EXPECT_EQ(processed, (std::vector<uint64_t>{3, 7, 9}));
+  EXPECT_EQ(retained, (std::vector<uint64_t>{15, 30, 32, 35, 36}));
 }
 
 TEST(StateManagerTest, ProcessedSetStaysSortedAndDuplicateFree) {

@@ -42,17 +42,15 @@ for f in "$src_dir"/dqp/mirror_log.h "$src_dir"/dqp/mirror_log.cc \
   fi
 done
 
-# Sharded kernel (D15): the windowed driver advances on simulated time
-# only. A wall-clock sleep/yield (std::this_thread), a wall-clock read, or
-# unseeded randomness in the kernel files would make window boundaries —
-# and therefore the merged trace — depend on host scheduling.
-for f in "$src_dir"/sim/sharded.h "$src_dir"/sim/sharded.cc \
-         "$src_dir"/sim/simulator.h "$src_dir"/sim/simulator.cc \
-         "$src_dir"/common/concurrency.h "$src_dir"/common/concurrency.cc; do
+# Event kernel (D1): the simulator advances on simulated time only. A
+# wall-clock sleep/yield (std::this_thread), a wall-clock read, or
+# unseeded randomness in the kernel files would make the (time, seq)
+# event trace depend on the host.
+for f in "$src_dir"/sim/simulator.h "$src_dir"/sim/simulator.cc; do
   [ -f "$f" ] || continue
   hits=$(grep -nE 'std::this_thread|sleep_for|sleep_until|::time\(|gettimeofday|clock_gettime|[^_[:alnum:]]rand\(' "$f")
   if [ -n "$hits" ]; then
-    echo "lint_determinism: wall-clock/sleep/rand in shard-kernel file $f:"
+    echo "lint_determinism: wall-clock/sleep/rand in event-kernel file $f:"
     echo "$hits"
     status=1
   fi
