@@ -26,15 +26,14 @@ struct ExecConfig {
   /// this off.
   bool recovery_log_enabled = true;
 
-  // --- vectorized execution (D13) --------------------------------------
-  /// Batch-at-a-time operator execution: the executor pops up to
-  /// `vector_batch_size` runnable tuples per step and runs them through
-  /// the chain as one TupleBatch (one composite work item, one M1
-  /// accumulation, per-batch cost charging). Off by default: the scalar
-  /// path keeps the pinned golden traces byte-identical.
-  bool vectorized_enabled = false;
-  /// Rows per batch in vectorized mode.
-  size_t vector_batch_size = 64;
+  // --- batch execution (D13) -------------------------------------------
+  /// Rows per operator step: the executor pops up to this many runnable
+  /// tuples and runs them through the chain as one TupleBatch (one
+  /// composite work item, one M1 accumulation; costs are still charged
+  /// and perturbed per row). 1 is the paper's tuple-at-a-time
+  /// granularity and the golden contract; larger batches coarsen event
+  /// timing and M1 sampling.
+  size_t vector_batch_size = 1;
 
   // --- credit-based flow control (D11) ---------------------------------
   /// Master switch. Off by default: with flow control disabled the engine

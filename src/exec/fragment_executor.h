@@ -126,12 +126,13 @@ class FragmentExecutor : public GridService {
 
   // --- tuple driver ------------------------------------------------------
   void MaybeProcess();
-  void ProcessScanRow();
-  void ProcessQueuedTuple(int port);
-  // Vectorized mode (DESIGN.md §D13): same two-phase shape, but one
-  // composite work item covers a whole popped batch.
+  // One step runs up to vector_batch_size rows through the chain as one
+  // composite work item (DESIGN.md §D13).
   void ProcessScanBatch();
   void ProcessQueuedBatch(int port);
+  /// Completion of a queued batch's work item: delivers the outputs and
+  /// records every popped input as processed.
+  void OnQueuedBatchDone(double actual_ms);
   /// Flushes pending credit grants and starts idle-wait tracking.
   void GoIdle();
   /// Offers staged outputs to the producer; returns their seqs.
@@ -173,6 +174,15 @@ class FragmentExecutor : public GridService {
   /// tuple would be missing from both the purge and the processed-set
   /// reply, and the producer would resend it (duplicating results).
   std::vector<Message> deferred_state_moves_;
+
+  /// The in-flight queued batch: its input tuples (moved into in_batch_)
+  /// and their port. Members rather than per-step locals so a step
+  /// reuses their capacity.
+  std::vector<QueuedTuple> popped_;
+  int popped_port_ = 0;
+  TupleBatch in_batch_;
+  /// Per-row output seqs scratch of OnQueuedBatchDone.
+  std::vector<uint64_t> row_seqs_;
 
   bool began_ = false;
   bool processing_ = false;

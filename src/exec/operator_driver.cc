@@ -30,28 +30,10 @@ Status OperatorDriver::BuildAndOpen() {
                          MakeOperator(fragment_->ops[i]));
     ops_.push_back(std::move(op));
   }
-  for (size_t i = 0; i + 1 < ops_.size(); ++i) {
-    ops_[i]->set_next(ops_[i + 1].get());
-  }
   for (auto& op : ops_) {
     GQP_RETURN_IF_ERROR(op->Open(&ctx_));
   }
   return Status::OK();
-}
-
-Status OperatorDriver::RunScanRow(const Tuple& row) {
-  ctx_.ResetForTuple();
-  ctx_.Charge(scan_tag_, scan_cost_ms_);
-  if (!ops_.empty()) {
-    return ops_.front()->Process(0, row, -1, &ctx_);
-  }
-  ctx_.out.push_back(row);
-  return Status::OK();
-}
-
-Status OperatorDriver::RunTuple(int port, const Tuple& tuple, int bucket) {
-  ctx_.ResetForTuple();
-  return ops_.front()->Process(port, tuple, bucket, &ctx_);
 }
 
 Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
@@ -65,25 +47,25 @@ Status OperatorDriver::RunScanBatch(const Table& table, size_t start,
     }
     return Status::OK();
   }
-  scan_batch_.Clear();
-  scan_batch_.Reserve(n);
+  staging_.Clear();
+  staging_.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    scan_batch_.Append(table.row(start + i), -1, static_cast<uint32_t>(i));
+    staging_.Append(table.row(start + i), -1, static_cast<uint32_t>(i));
   }
-  return RunChainBatch(0, &scan_batch_);
+  return RunChainBatch(0, 0, &staging_);
 }
 
 Status OperatorDriver::RunBatch(int port, TupleBatch* in) {
   ctx_.ResetForBatch(in->size());
-  return RunChainBatch(port, in);
+  return RunChainBatch(0, port, in);
 }
 
-Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
+Status OperatorDriver::RunChainBatch(size_t first, int port, TupleBatch* in) {
   TupleBatch* cur = in;
   TupleBatch* next = &scratch_a_;
-  for (auto& op : ops_) {
+  for (size_t i = first; i < ops_.size(); ++i) {
     next->Clear();
-    GQP_RETURN_IF_ERROR(op->ProcessBatch(port, cur, next, &ctx_));
+    GQP_RETURN_IF_ERROR(ops_[i]->ProcessBatch(port, cur, next, &ctx_));
     // Ping-pong: the consumed batch becomes the next stage's output
     // scratch (the caller's `in` is scratch to it as well).
     TupleBatch* spent = cur == in ? &scratch_b_ : cur;
@@ -101,20 +83,28 @@ Status OperatorDriver::RunChainBatch(int port, TupleBatch* in) {
   return Status::OK();
 }
 
-void OperatorDriver::FinishPorts(size_t num_ports) {
-  for (size_t p = 0; p < num_ports; ++p) {
-    for (auto& op : ops_) {
-      const Status s = op->FinishPort(static_cast<int>(p), &ctx_);
-      if (!s.ok()) hooks_.fail(s);
+bool OperatorDriver::FinishChain() {
+  ctx_.ResetForBatch(0);
+  if (ops_.empty()) return false;
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const size_t flushed_from = ctx_.out.size();
+    Status s = ops_[i]->Finish(&ctx_);
+    if (s.ok() && i + 1 < ops_.size() && ctx_.out.size() > flushed_from) {
+      // The flushed rows enter the rest of the chain as one batch; its
+      // survivors land back at the tail of ctx_.out.
+      staging_.Clear();
+      for (size_t r = flushed_from; r < ctx_.out.size(); ++r) {
+        staging_.Append(std::move(ctx_.out[r]), -1,
+                        static_cast<uint32_t>(r - flushed_from));
+      }
+      ctx_.out.resize(flushed_from);
+      s = RunChainBatch(i + 1, 0, &staging_);
+    }
+    if (!s.ok()) {
+      hooks_.fail(s);
+      break;
     }
   }
-}
-
-bool OperatorDriver::FinishChain() {
-  ctx_.ResetForTuple();
-  if (ops_.empty()) return false;
-  const Status s = ops_.front()->Finish(&ctx_);
-  if (!s.ok()) hooks_.fail(s);
   return true;
 }
 

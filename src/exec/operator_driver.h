@@ -1,5 +1,5 @@
 // Operator-chain driver of a fragment instance (DESIGN.md §D12): builds
-// and owns the physical operator chain, runs tuples through it with cost
+// and owns the physical operator chain, runs batches through it with cost
 // charging into the shared ExecContext, and owns the M1 self-monitoring
 // loop (cost/wait per tuple, selectivity) between emissions. Scheduling —
 // when a tuple runs, how its composite work item is submitted, what
@@ -40,40 +40,25 @@ class OperatorDriver {
   bool has_ops() const { return !ops_.empty(); }
   ExecContext* ctx() { return &ctx_; }
 
-  /// Runs one scan row through the chain, charging the scan descriptor's
-  /// cost first.
-  Status RunScanRow(const Tuple& row);
-  /// Runs one queued exchange tuple through the chain.
-  Status RunTuple(int port, const Tuple& tuple, int bucket);
-
-  // --- vectorized mode (DESIGN.md §D13) ---------------------------------
   /// Runs `n` scan rows starting at `start` through the chain as one
-  /// batch, charging the scan cost once (n × unit).
+  /// batch, charging the scan cost per row.
   Status RunScanBatch(const Table& table, size_t start, size_t n);
   /// Runs a popped batch of exchange tuples through the chain. `in` is
   /// consumed; per-row retention lands in ctx()->row_retained, outputs in
   /// ctx()->out with their input-row origin in ctx()->out_origin.
   Status RunBatch(int port, TupleBatch* in);
 
-  /// FinishPort on every operator for every port; errors go to `fail`.
-  void FinishPorts(size_t num_ports);
-  /// Resets the context and flushes chain-finish output into it. Returns
-  /// true when the chain exists (the caller delivers ctx()->out).
+  /// Resets the context and runs every operator's Finish in chain order,
+  /// feeding each one's flushed rows through the rest of the chain.
+  /// Returns true when the chain exists (the caller delivers ctx()->out).
   bool FinishChain();
 
   void PurgeBuckets(const std::vector<int>& buckets);
 
   // --- M1 self-monitoring ----------------------------------------------
-  /// Records one tuple's actual (perturbed) cost, in both the fragment
-  /// stats and the M1 accumulators.
-  void AccumulateTupleCost(double actual_ms) {
-    stats_->busy_ms += actual_ms;
-    m1_cost_ms_ += actual_ms;
-    ++m1_tuples_;
-  }
-  /// Batch-mode variant: one work item covered `n` tuples, so the M1
-  /// accumulators advance by the whole batch at once (batch-boundary
-  /// monitoring granularity).
+  /// Records the actual (perturbed) cost of one work item covering `n`
+  /// tuples: the M1 accumulators advance by the whole batch at once
+  /// (batch-boundary monitoring granularity).
   void AccumulateBatchCost(double actual_ms, uint64_t n) {
     stats_->busy_ms += actual_ms;
     m1_cost_ms_ += actual_ms;
@@ -107,17 +92,17 @@ class OperatorDriver {
   const FragmentDesc* fragment_;
   FragmentStats* stats_;
   Hooks hooks_;
-  /// Walks the batch through the chain; the survivors of the last
+  /// Walks the batch through ops_[first..]; the survivors of the last
   /// operator move into ctx_.out / ctx_.out_origin.
-  Status RunChainBatch(int port, TupleBatch* in);
+  Status RunChainBatch(size_t first, int port, TupleBatch* in);
 
   std::vector<std::unique_ptr<PhysicalOperator>> ops_;
   ExecContext ctx_;
   /// Ping-pong scratch batches for RunChainBatch (capacity reused).
   TupleBatch scratch_a_;
   TupleBatch scratch_b_;
-  /// Scan-batch staging (capacity reused).
-  TupleBatch scan_batch_;
+  /// Staging batch for scan rows and Finish flushes (capacity reused).
+  TupleBatch staging_;
   /// Interned scan tag + base cost (scan leaves only).
   std::string_view scan_tag_;
   double scan_cost_ms_ = 0.0;

@@ -10,48 +10,9 @@ namespace gqp {
 
 Status PhysicalOperator::Open(ExecContext*) { return Status::OK(); }
 
-Status PhysicalOperator::FinishPort(int, ExecContext*) {
-  return Status::OK();
-}
-
-Status PhysicalOperator::Finish(ExecContext* ctx) {
-  if (next_ != nullptr) return next_->Finish(ctx);
-  return Status::OK();
-}
+Status PhysicalOperator::Finish(ExecContext*) { return Status::OK(); }
 
 void PhysicalOperator::PurgeBuckets(const std::vector<int>&) {}
-
-Status PhysicalOperator::Emit(const Tuple& tuple, ExecContext* ctx) {
-  if (next_ != nullptr) return next_->Process(0, tuple, -1, ctx);
-  ctx->out.push_back(tuple);
-  return Status::OK();
-}
-
-// Generic batch step for operators without a hand-written override: runs
-// the scalar Process per row with chaining suppressed and re-maps the
-// per-tuple outputs/retention into batch form. Charges land per row, so
-// the ledger counts match a scalar run exactly.
-Status PhysicalOperator::ProcessBatch(int port, TupleBatch* in,
-                                      TupleBatch* out, ExecContext* ctx) {
-  PhysicalOperator* saved_next = next_;
-  next_ = nullptr;
-  Status status = Status::OK();
-  const size_t stage_base = ctx->out.size();
-  for (size_t i = 0; i < in->size() && status.ok(); ++i) {
-    ctx->retained = false;
-    status = Process(port, in->tuple(i), in->bucket(i), ctx);
-    if (ctx->retained && in->origin(i) < ctx->row_retained.size()) {
-      ctx->row_retained[in->origin(i)] = 1;
-    }
-    for (size_t j = stage_base; j < ctx->out.size(); ++j) {
-      out->Append(std::move(ctx->out[j]), -1, in->origin(i));
-    }
-    ctx->out.resize(stage_base);
-  }
-  ctx->retained = false;
-  next_ = saved_next;
-  return status;
-}
 
 // ---- Filter ------------------------------------------------------------
 
@@ -59,14 +20,6 @@ FilterOperator::FilterOperator(const PhysOpDesc& desc)
     : predicate_(desc.predicate),
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
-
-Status FilterOperator::Process(int, const Tuple& tuple, int,
-                               ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  GQP_ASSIGN_OR_RETURN(Value v, predicate_->Eval(tuple, ctx->functions));
-  if (!ValueIsTrue(v)) return Status::OK();
-  return Emit(tuple, ctx);
-}
 
 Status FilterOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                     ExecContext* ctx) {
@@ -92,18 +45,6 @@ ProjectOperator::ProjectOperator(const PhysOpDesc& desc)
       out_schema_(desc.out_schema),
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
-
-Status ProjectOperator::Process(int, const Tuple& tuple, int,
-                                ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  std::vector<Value> values;
-  values.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    GQP_ASSIGN_OR_RETURN(Value v, e->Eval(tuple, ctx->functions));
-    values.push_back(std::move(v));
-  }
-  return Emit(Tuple(out_schema_, std::move(values)), ctx);
-}
 
 Status ProjectOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                      ExecContext* ctx) {
@@ -131,21 +72,6 @@ OperationCallOperator::OperationCallOperator(const PhysOpDesc& desc)
       cost_ms_(desc.base_cost_ms),
       tag_(InternString(desc.cost_tag)) {}
 
-Status OperationCallOperator::Process(int, const Tuple& tuple, int,
-                                      ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  if (arg_col_ >= tuple.size()) {
-    return Status::OutOfRange(
-        StrCat("operation call argument column ", arg_col_, " out of range"));
-  }
-  GQP_ASSIGN_OR_RETURN(FunctionRegistry::Fn fn,
-                       ctx->functions->Find(ws_name_));
-  GQP_ASSIGN_OR_RETURN(Value result, fn({tuple.at(arg_col_)}));
-  std::vector<Value> values(tuple.data(), tuple.data() + tuple.size());
-  values.push_back(std::move(result));
-  return Emit(Tuple(out_schema_, std::move(values)), ctx);
-}
-
 Status OperationCallOperator::ProcessBatch(int, TupleBatch* in,
                                            TupleBatch* out,
                                            ExecContext* ctx) {
@@ -153,7 +79,7 @@ Status OperationCallOperator::ProcessBatch(int, TupleBatch* in,
   if (n == 0) return Status::OK();
   ctx->ChargeN(tag_, cost_ms_, n);
   // One registry lookup for the whole batch (the std::function copy is
-  // the scalar path's per-tuple tax).
+  // the expensive part).
   GQP_ASSIGN_OR_RETURN(FunctionRegistry::Fn fn,
                        ctx->functions->Find(ws_name_));
   std::vector<Value> args(1);
@@ -195,51 +121,15 @@ FlatJoinTable& HashJoinOperator::TableForBucket(int bucket) {
   return table;
 }
 
-Status HashJoinOperator::Process(int port, const Tuple& tuple, int bucket,
-                                 ExecContext* ctx) {
-  if (bucket < 0) bucket = 0;  // single-consumer (unpartitioned) execution
-  if (port == 0) {
-    ctx->Charge(tag_, build_cost_ms_);
-    if (build_key_ >= tuple.size()) {
-      return Status::OutOfRange("build key column out of range");
-    }
-    const Value& key = tuple.at(build_key_);
-    if (TableForBucket(bucket).Insert(key.JoinHash(), tuple)) {
-      ++duplicate_build_inserts_;
-      GQP_LOG_WARN << "hash join: duplicate build insert, key="
-                   << key.ToString() << " bucket=" << bucket;
-    }
-    ctx->retained = true;
-    return Status::OK();
-  }
-  if (port == 1) {
-    ctx->Charge(tag_, probe_cost_ms_);
-    if (probe_key_ >= tuple.size()) {
-      return Status::OutOfRange("probe key column out of range");
-    }
-    const Value& key = tuple.at(probe_key_);
-    if (static_cast<size_t>(bucket) >= state_.size()) return Status::OK();
-    Status status = Status::OK();
-    state_[static_cast<size_t>(bucket)].ForEachMatch(
-        key.JoinHash(), [&](const Tuple& build_tuple) {
-          // Hash collision: the stored key is the build tuple's key column.
-          if (!status.ok() || build_tuple.at(build_key_) != key) return;
-          status = Emit(Tuple::Concat(out_schema_, build_tuple, tuple), ctx);
-        });
-    return status;
-  }
-  return Status::InvalidArgument(
-      StrCat("hash join has no input port ", port));
-}
-
 Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
                                       TupleBatch* out, ExecContext* ctx) {
   const size_t n = in->size();
   if (port == 0) {
     ctx->ChargeN(tag_, build_cost_ms_, n);
     // Pre-size each touched bucket for its share of the batch so entry
-    // vectors and slot arrays grow at most once per batch.
-    batch_bucket_counts_.clear();
+    // vectors and slot arrays grow at most once per batch. Both passes
+    // walk the rows, not the bucket range, so a one-row batch costs O(1);
+    // the second pass leaves every count at zero for the next batch.
     for (size_t i = 0; i < n; ++i) {
       const size_t bucket =
           static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
@@ -248,10 +138,14 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
       }
       ++batch_bucket_counts_[bucket];
     }
-    for (size_t b = 0; b < batch_bucket_counts_.size(); ++b) {
-      if (batch_bucket_counts_[b] == 0) continue;
-      FlatJoinTable& table = TableForBucket(static_cast<int>(b));
-      table.Reserve(table.size() + batch_bucket_counts_[b]);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t bucket =
+          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
+      size_t& count = batch_bucket_counts_[bucket];
+      if (count == 0) continue;  // reserved for an earlier row
+      FlatJoinTable& table = TableForBucket(static_cast<int>(bucket));
+      table.Reserve(table.size() + count);
+      count = 0;
     }
     // Pass 2: hash the key column and prefetch each row's destination
     // slot, so the insert loop's slot-array misses overlap with the
@@ -439,31 +333,6 @@ Status HashAggregateOperator::Accumulate(GroupState* group,
   return Status::OK();
 }
 
-Status HashAggregateOperator::Process(int port, const Tuple& tuple,
-                                      int bucket, ExecContext* ctx) {
-  if (port != 0) {
-    return Status::InvalidArgument("hash aggregate has a single input port");
-  }
-  if (bucket < 0) bucket = 0;
-  ctx->Charge(tag_, cost_ms_);
-
-  std::vector<Value> group_values;
-  group_values.reserve(group_exprs_.size());
-  for (const ExprPtr& e : group_exprs_) {
-    GQP_ASSIGN_OR_RETURN(Value v, e->Eval(tuple, ctx->functions));
-    group_values.push_back(std::move(v));
-  }
-  const std::string key = EncodeGroupKey(group_values);
-  auto [it, inserted] = state_[bucket].try_emplace(key);
-  if (inserted) {
-    it->second.group_values = std::move(group_values);
-    it->second.accums.resize(aggs_.size());
-  }
-  GQP_RETURN_IF_ERROR(Accumulate(&it->second, tuple, ctx));
-  ctx->retained = true;
-  return Status::OK();
-}
-
 Status HashAggregateOperator::ProcessBatch(int port, TupleBatch* in,
                                            TupleBatch* out,
                                            ExecContext* ctx) {
@@ -527,11 +396,10 @@ Status HashAggregateOperator::Finish(ExecContext* ctx) {
       for (size_t i = 0; i < aggs_.size(); ++i) {
         values.push_back(Finalize(aggs_[i], group.accums[i]));
       }
-      GQP_RETURN_IF_ERROR(Emit(Tuple(out_schema_, std::move(values)), ctx));
+      ctx->out.emplace_back(out_schema_, std::move(values));
     }
   }
   state_.clear();
-  if (next_ != nullptr) return next_->Finish(ctx);
   return Status::OK();
 }
 
@@ -550,19 +418,14 @@ size_t HashAggregateOperator::GroupCount() const {
 CollectOperator::CollectOperator(const PhysOpDesc& desc)
     : cost_ms_(desc.base_cost_ms), tag_(InternString(desc.cost_tag)) {}
 
-Status CollectOperator::Process(int, const Tuple& tuple, int,
-                                ExecContext* ctx) {
-  ctx->Charge(tag_, cost_ms_);
-  results_.push_back(tuple);
-  return Status::OK();
-}
-
 Status CollectOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                      ExecContext* ctx) {
   (void)out;  // collect is a sink
   const size_t n = in->size();
   ctx->ChargeN(tag_, cost_ms_, n);
-  results_.reserve(results_.size() + n);
+  // No exact-fit reserve: at small batches it would reallocate the whole
+  // result vector on every step (quadratic); push_back grows
+  // geometrically.
   for (size_t i = 0; i < n; ++i) results_.push_back(in->TakeTuple(i));
   return Status::OK();
 }

@@ -1,9 +1,9 @@
-// Runtime physical operators. Fragments run a push-based chain:
-// the FragmentExecutor feeds tuples into ops[0]; each operator does its
-// real work (predicates, hash tables, web-service computations), charges
-// its virtual CPU cost to the ExecContext, and emits to the next operator;
-// the chain's sink stages output tuples for the exchange producer (or the
-// result collector).
+// Runtime physical operators. Fragments run a chain of batch steps: the
+// OperatorDriver feeds a TupleBatch into ops[0] and hands each operator's
+// output batch to the next; each operator does its real work (predicates,
+// hash tables, web-service computations) and charges its virtual CPU cost
+// per row to the ExecContext; the chain's survivors are staged for the
+// exchange producer (or the result collector).
 //
 // Stateful operators implement PurgeBuckets() so retrospective adaptation
 // can drop (and later rebuild elsewhere) the state of moved partitions.
@@ -21,6 +21,7 @@
 #include "common/result.h"
 #include "exec/flat_join_table.h"
 #include "expr/expression.h"
+#include "grid/node.h"
 #include "plan/physical_plan.h"
 #include "storage/table.h"
 #include "storage/tuple_batch.h"
@@ -30,18 +31,13 @@ namespace gqp {
 /// Cumulative record of every cost charged through an ExecContext, kept as
 /// integer counts per distinct (tag, unit cost) pair. Because the counts
 /// are exact and the entry order depends only on the order of first
-/// encounter (identical in scalar and vectorized mode: the chain order),
-/// TotalMs() is computed by the *same* sequence of floating-point
-/// operations regardless of batch size — so scalar and vectorized runs of
-/// the same input agree bit-for-bit, with none of the drift that
-/// re-associating per-tuple additions into per-batch multiplies would
-/// introduce (DESIGN.md §D13).
+/// encounter (the chain order, whatever the batch size), TotalMs() is
+/// computed by the *same* sequence of floating-point operations for every
+/// batch size — so runs of the same input at batch 1 and batch N agree
+/// bit-for-bit, with none of the drift that re-associating per-row
+/// additions into per-batch multiplies would introduce (DESIGN.md §D13).
 struct ChargeLedger {
-  struct Entry {
-    std::string_view tag;
-    double unit_ms;
-    uint64_t count;
-  };
+  using Entry = ChargePart;
   std::vector<Entry> entries;
 
   void Add(std::string_view tag, double unit_ms, uint64_t n) {
@@ -70,61 +66,54 @@ struct ChargeLedger {
   void Clear() { entries.clear(); }
 };
 
-/// Per-tuple execution context: cost charges, retention flag, staging area
-/// for chain outputs.
+/// Per-batch execution context: cost charges, per-row retention, staging
+/// area for chain outputs.
 struct ExecContext {
-  /// (operation tag, base cost ms) pairs accumulated while processing the
-  /// current tuple (or batch); the driver turns them into one composite
-  /// node work item. Tags are interned views (InternString): charging is
-  /// allocation-free on the hot path, and the views stay valid for the
-  /// lifetime of any node work item they are copied into.
-  std::vector<std::pair<std::string_view, double>> charges;
-  /// Set by stateful operators when the input tuple was absorbed into
-  /// operator state (it must not be acknowledged upstream yet). Scalar
-  /// mode only; batch mode records per-row retention in `row_retained`.
-  bool retained = false;
-  /// Tuples emitted by the chain for the current input tuple/batch.
+  /// Charge parts accumulated while processing the current batch; the
+  /// driver submits them as one composite node work item, which applies
+  /// the effective cost once per unit (per row). Tags are interned views
+  /// (InternString): charging is allocation-free on the hot path, and
+  /// the views stay valid for the lifetime of any node work item they
+  /// are copied into.
+  std::vector<ChargePart> charges;
+  /// Tuples emitted by the chain for the current batch (and the rows an
+  /// operator's Finish flushes).
   std::vector<Tuple> out;
-  /// Batch mode: out_origin[i] is the input-batch row index `out[i]`
-  /// derives from (parallel to `out`; empty in scalar mode). Survives the
-  /// egress clearing `out` so the executor can map delivered output seqs
-  /// back to the input tuples awaiting acknowledgment.
+  /// out_origin[i] is the input-batch row index `out[i]` derives from
+  /// (parallel to `out`). Survives the egress clearing `out` so the
+  /// executor can map delivered output seqs back to the input tuples
+  /// awaiting acknowledgment.
   std::vector<uint32_t> out_origin;
-  /// Batch mode: row_retained[i] != 0 when input-batch row i was absorbed
-  /// into operator state (indexed by origin, sized by ResetForBatch).
+  /// row_retained[i] != 0 when input-batch row i was absorbed into
+  /// operator state (indexed by origin, sized by ResetForBatch).
   std::vector<unsigned char> row_retained;
-  /// Cumulative (whole-run) charge counts; never reset between tuples.
-  /// The canonical total cost both execution modes are compared on.
+  /// Cumulative (whole-run) charge counts; never reset between batches.
+  /// The canonical total cost batch sizes are compared on.
   ChargeLedger ledger;
   /// Scalar function implementations for filter/project expressions.
   const FunctionRegistry* functions = &FunctionRegistry::Builtins();
   /// Shared predicate-mask scratch for batch filters (capacity reuse).
   std::vector<unsigned char> mask;
 
-  void Charge(std::string_view tag, double ms) {
-    charges.emplace_back(tag, ms);
-    ledger.Add(tag, ms, 1);
-  }
-  /// Batch-mode charge: one composite part worth n scalar charges. No-op
-  /// for an empty batch (scalar mode charges nothing for zero tuples).
+  void Charge(std::string_view tag, double ms) { ChargeN(tag, ms, 1); }
+  /// Charges `n` rows at `unit_ms` each as one part. No-op for an empty
+  /// batch.
   void ChargeN(std::string_view tag, double unit_ms, uint64_t n) {
     if (n == 0) return;
-    charges.emplace_back(tag, unit_ms * static_cast<double>(n));
+    charges.push_back(ChargePart{tag, unit_ms, n});
     ledger.Add(tag, unit_ms, n);
   }
-  void ResetForTuple() {
+  void ResetForBatch(size_t rows) {
     charges.clear();
-    retained = false;
     out.clear();
     out_origin.clear();
-  }
-  void ResetForBatch(size_t rows) {
-    ResetForTuple();
     row_retained.assign(rows, 0);
   }
   double TotalBaseCost() const {
     double total = 0.0;
-    for (const auto& [tag, ms] : charges) total += ms;
+    for (const ChargePart& part : charges) {
+      total += part.unit_ms * static_cast<double>(part.count);
+    }
     return total;
   }
 };
@@ -136,53 +125,32 @@ class PhysicalOperator {
 
   virtual Status Open(ExecContext* ctx);
 
-  /// Processes one tuple arriving on input `port` (0 for single-input
-  /// operators; hash join: 0 = build, 1 = probe). `bucket` is the logical
-  /// partition assigned by the upstream exchange (-1 when not
-  /// partitioned).
-  virtual Status Process(int port, const Tuple& tuple, int bucket,
-                         ExecContext* ctx) = 0;
-
-  /// Vectorized step: consumes the rows of `in` (which may be left
-  /// moved-from) and appends this operator's outputs to `out`. Unlike
-  /// Process, a batch step never chains into next_ — the driver walks the
-  /// chain, handing each operator's output batch to the next (run to
-  /// completion over the batch). Emitted rows carry bucket -1 (exactly
-  /// what scalar Emit forwards) and inherit the origin of the input row
-  /// they derive from; rows absorbed into operator state mark
-  /// ctx->row_retained[origin] instead of ctx->retained. The default
-  /// implementation runs the scalar Process per row with chaining
-  /// suppressed; every built-in operator overrides it with a tight loop.
+  /// The operator step: consumes the rows of `in` arriving on input
+  /// `port` (0 for single-input operators; hash join: 0 = build, 1 =
+  /// probe) and appends this operator's outputs to `out`. `in` may be
+  /// left moved-from. Each row carries the logical partition assigned by
+  /// the upstream exchange (-1 when not partitioned). The driver walks
+  /// the chain, handing each operator's output batch to the next (run to
+  /// completion over the batch). Emitted rows carry bucket -1 and inherit
+  /// the origin of the input row they derive from; rows absorbed into
+  /// operator state mark ctx->row_retained[origin].
   virtual Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
-                              ExecContext* ctx);
+                              ExecContext* ctx) = 0;
 
-  /// All producers of `port` reached end-of-stream and the queue drained.
-  virtual Status FinishPort(int port, ExecContext* ctx);
-
-  /// The whole fragment input is complete; flush any buffered output.
+  /// The whole fragment input is complete: appends any buffered output
+  /// to ctx->out (the driver runs it through the rest of the chain).
+  /// Default: nothing buffered.
   virtual Status Finish(ExecContext* ctx);
 
   /// Drops operator state belonging to the given partitions (retrospective
   /// adaptation). Default: no state, no-op.
   virtual void PurgeBuckets(const std::vector<int>& buckets);
-
-  void set_next(PhysicalOperator* next) { next_ = next; }
-  PhysicalOperator* next() const { return next_; }
-
- protected:
-  /// Forwards a tuple to the next operator (port 0) or stages it in the
-  /// context when this is the chain tail.
-  Status Emit(const Tuple& tuple, ExecContext* ctx);
-
-  PhysicalOperator* next_ = nullptr;
 };
 
 /// Predicate filter.
 class FilterOperator : public PhysicalOperator {
  public:
   explicit FilterOperator(const PhysOpDesc& desc);
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
 
@@ -197,8 +165,6 @@ class FilterOperator : public PhysicalOperator {
 class ProjectOperator : public PhysicalOperator {
  public:
   explicit ProjectOperator(const PhysOpDesc& desc);
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
 
@@ -216,10 +182,8 @@ class ProjectOperator : public PhysicalOperator {
 class OperationCallOperator : public PhysicalOperator {
  public:
   explicit OperationCallOperator(const PhysOpDesc& desc);
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
-  /// The registry lookup (a std::function copy in scalar mode) is
-  /// amortized: one Find per batch, reused for every row.
+  /// The registry lookup (a std::function copy) is amortized: one Find
+  /// per batch, reused for every row.
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
 
@@ -239,8 +203,6 @@ class HashJoinOperator : public PhysicalOperator {
  public:
   explicit HashJoinOperator(const PhysOpDesc& desc);
 
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
   /// Build: inserts the whole batch, marking every row retained. Probe:
   /// hashes the key column up front, prefetches the bucket tables, then
   /// probes in a tight loop.
@@ -281,8 +243,8 @@ class HashJoinOperator : public PhysicalOperator {
   std::vector<uint32_t> cand_scratch_;
   /// Per-batch probe chain-head scratch (capacity reused across batches).
   std::vector<uint32_t> head_scratch_;
-  /// Per-batch build-row count per bucket (capacity reused across
-  /// batches) for one-shot table pre-sizing.
+  /// Per-batch build-row count per bucket for one-shot table pre-sizing;
+  /// all zero between batches.
   std::vector<size_t> batch_bucket_counts_;
   size_t duplicate_build_inserts_ = 0;
 };
@@ -295,11 +257,9 @@ class HashAggregateOperator : public PhysicalOperator {
  public:
   explicit HashAggregateOperator(const PhysOpDesc& desc);
 
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
-  /// Emits one output tuple per group, then finishes downstream.
+  /// Appends one output tuple per group to ctx->out and drops the state.
   Status Finish(ExecContext* ctx) override;
   void PurgeBuckets(const std::vector<int>& buckets) override;
 
@@ -340,8 +300,6 @@ class HashAggregateOperator : public PhysicalOperator {
 class CollectOperator : public PhysicalOperator {
  public:
   explicit CollectOperator(const PhysOpDesc& desc);
-  Status Process(int port, const Tuple& tuple, int bucket,
-                 ExecContext* ctx) override;
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
 

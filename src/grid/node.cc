@@ -45,14 +45,14 @@ double GridNode::EffectiveCost(std::string_view tag, double base_cost_ms) {
 
 void GridNode::SubmitWork(std::string_view tag, double base_cost_ms,
                           std::function<void()> done) {
-  SubmitComposite({{tag, base_cost_ms}},
+  SubmitComposite({{tag, base_cost_ms, 1}},
                   [done = std::move(done)](double) {
                     if (done) done();
                   });
 }
 
 void GridNode::SubmitComposite(
-    std::vector<std::pair<std::string_view, double>> parts,
+    std::vector<ChargePart> parts,
     std::function<void(double)> done) {
   if (dead_) return;
   queue_.push_back(WorkItem{std::move(parts), std::move(done)});
@@ -74,14 +74,16 @@ void GridNode::StartNext() {
   queue_.pop_front();
 
   double duration = 0.0;
-  for (const auto& [tag, base_cost] : item.parts) {
-    const double part = EffectiveCost(tag, base_cost);
-    auto it = stats_.busy_ms_by_tag.find(tag);
+  for (const ChargePart& part : item.parts) {
+    auto it = stats_.busy_ms_by_tag.find(part.tag);
     if (it == stats_.busy_ms_by_tag.end()) {
-      it = stats_.busy_ms_by_tag.emplace(std::string(tag), 0.0).first;
+      it = stats_.busy_ms_by_tag.emplace(std::string(part.tag), 0.0).first;
     }
-    it->second += part;
-    duration += part;
+    for (uint64_t i = 0; i < part.count; ++i) {
+      const double unit = EffectiveCost(part.tag, part.unit_ms);
+      it->second += unit;
+      duration += unit;
+    }
   }
   ++stats_.work_items;
   stats_.busy_ms += duration;

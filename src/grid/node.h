@@ -7,6 +7,7 @@
 #ifndef GRIDQP_GRID_NODE_H_
 #define GRIDQP_GRID_NODE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -21,6 +22,18 @@
 #include "sim/simulator.h"
 
 namespace gqp {
+
+/// One tagged part of a composite work item: `count` units of
+/// `unit_ms` each, charged under `tag`. The node applies the effective
+/// cost (capacity, perturbations) once per unit, in order, so a part of
+/// count k costs exactly what k single-unit parts would — including the
+/// paper's per-tuple perturbations (a fixed delay or a random factor per
+/// tuple).
+struct ChargePart {
+  std::string_view tag;
+  double unit_ms = 0.0;
+  uint64_t count = 1;
+};
 
 /// Per-node utilization counters. The tag map accepts string_view lookups
 /// (transparent hashing): hot-path charges carry interned views, never
@@ -72,15 +85,15 @@ class GridNode {
                   std::function<void()> done);
 
   /// \brief Enqueues a composite work item made of several tagged parts
-  /// (e.g. one tuple flowing through a chain of operators, each charging
-  /// its own cost).
+  /// (e.g. one batch flowing through a chain of operators, each charging
+  /// its own per-row cost).
   ///
-  /// Per-tag perturbations apply to each part; the parts execute as one
-  /// uninterruptible unit. `done` receives the total effective duration —
+  /// Per-tag perturbations apply to each unit of each part; the parts
+  /// execute as one uninterruptible unit. `done` receives the total effective duration —
   /// the engine's self-monitoring instrumentation reports it as the
   /// tuple's processing cost. Part tags follow the SubmitWork view
   /// contract (literals or interned).
-  void SubmitComposite(std::vector<std::pair<std::string_view, double>> parts,
+  void SubmitComposite(std::vector<ChargePart> parts,
                        std::function<void(double actual_ms)> done);
 
   /// The perturbed, capacity-scaled cost this node would charge for the
@@ -103,7 +116,7 @@ class GridNode {
 
  private:
   struct WorkItem {
-    std::vector<std::pair<std::string_view, double>> parts;
+    std::vector<ChargePart> parts;
     std::function<void(double)> done;
   };
 

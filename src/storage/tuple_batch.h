@@ -1,5 +1,5 @@
-// TupleBatch: a column-addressable run of tuples, the unit of work of the
-// vectorized execution mode (DESIGN.md §D13). A batch carries, per row,
+// TupleBatch: a column-addressable run of tuples, the unit of work of an
+// operator step (DESIGN.md §D13). A batch carries, per row,
 // the tuple itself, the logical exchange bucket it was routed to, and the
 // row's *origin* — its index in the batch the driver popped from the input
 // queue — so per-input-tuple bookkeeping (retained flags, the

@@ -7,7 +7,7 @@
 //
 // If a fingerprint changes *by design* (e.g. a new subsystem schedules
 // extra events), re-record the constants with:
-//   chaos_repro --seed=N [--lossy]
+//   chaos_repro --seed=N [--lossy] [--batch=B]
 // and say so in the commit message.
 
 #include <cstdint>
@@ -27,7 +27,8 @@ struct GoldenFingerprint {
   ChaosProfile profile;
   uint64_t events;
   uint64_t hash;
-  bool vectorized = false;
+  /// Rows per operator step; 1 is the default engine.
+  size_t batch = 1;
 };
 
 // Recorded 2026-08 from the seed kernel (priority_queue + id map), before
@@ -49,24 +50,24 @@ constexpr GoldenFingerprint kGolden[] = {
     // traffic must replay bit-identically.
     {6, ChaosProfile::kSlowConsumer, 12664, 0x3dbc880d0e788913ULL},
     {3, ChaosProfile::kMemorySqueeze, 8960, 0xbb210f5865a4e957ULL},
-    // Vectorized execution (D13), recorded 2026-08 when batch-at-a-time
-    // operators landed: the same 12 seeds re-pinned at batch-boundary
-    // event granularity (one composite charge per batch legitimately
-    // changes simulated timing, so these differ from the scalar rows
-    // above by design). Re-record with:
-    //   chaos_repro --seed=N [profile flag] --vectorized
-    {1, ChaosProfile::kStandard, 2913, 0x88b4b7d44bda0d26ULL, true},
-    {13, ChaosProfile::kStandard, 4758, 0x2d2d136c7dd27bb9ULL, true},
-    {29, ChaosProfile::kStandard, 3054, 0xe43d9be2248c6bdfULL, true},
-    {47, ChaosProfile::kStandard, 2967, 0x965d1f056e5ecb9eULL, true},
-    {58, ChaosProfile::kStandard, 3656, 0x71b7fefc6b4a8597ULL, true},
-    {87, ChaosProfile::kStandard, 11102, 0x3dbc0f89745ee2aeULL, true},
-    {96, ChaosProfile::kStandard, 3746, 0x34a52a146493d176ULL, true},
-    {201, ChaosProfile::kLossy, 3933, 0xd3695289fbdd3ee4ULL, true},
-    {213, ChaosProfile::kLossy, 1973, 0x4ce1769ae8ee59abULL, true},
-    {240, ChaosProfile::kLossy, 3946, 0x8251978a7dfdce06ULL, true},
-    {6, ChaosProfile::kSlowConsumer, 3950, 0xdc830b1447364194ULL, true},
-    {3, ChaosProfile::kMemorySqueeze, 5296, 0x1142bc093144a15fULL, true},
+    // Batch execution at 16 rows per step (D13): the same 12 seeds
+    // pinned at batch-boundary event granularity (one composite work item
+    // per batch legitimately changes simulated timing, so these differ
+    // from the batch-1 rows above by design). Re-recorded 2026-10 when
+    // costs became charged and perturbed per row. Re-record with:
+    //   chaos_repro --seed=N [profile flag] --batch=16
+    {1, ChaosProfile::kStandard, 2913, 0xc4f510f85baf78f4ULL, 16},
+    {13, ChaosProfile::kStandard, 5752, 0x20235796fce8cfe7ULL, 16},
+    {29, ChaosProfile::kStandard, 3054, 0xdefa2a5cff174280ULL, 16},
+    {47, ChaosProfile::kStandard, 2967, 0x348cafda35cca9fdULL, 16},
+    {58, ChaosProfile::kStandard, 3656, 0x87c2d884dc1cef17ULL, 16},
+    {87, ChaosProfile::kStandard, 12517, 0xf6c91f0f0def7511ULL, 16},
+    {96, ChaosProfile::kStandard, 3746, 0x152e3dc219839b3eULL, 16},
+    {201, ChaosProfile::kLossy, 3840, 0x733aeae18e39ee0fULL, 16},
+    {213, ChaosProfile::kLossy, 1973, 0x3ccf21e267ed59a6ULL, 16},
+    {240, ChaosProfile::kLossy, 3946, 0x68b7cffe99a42f3aULL, 16},
+    {6, ChaosProfile::kSlowConsumer, 3950, 0x405b6c19715f49b9ULL, 16},
+    {3, ChaosProfile::kMemorySqueeze, 5296, 0x480600ca54d86997ULL, 16},
 };
 
 std::string ProfilePrefix(ChaosProfile profile) {
@@ -83,6 +84,8 @@ std::string ProfilePrefix(ChaosProfile profile) {
       return "mq_seed";
     case ChaosProfile::kCoordinatorKill:
       return "coord_seed";
+    case ChaosProfile::kTenantStorm:
+      return "storm_seed";
   }
   return "seed";
 }
@@ -93,19 +96,19 @@ class FingerprintTest
 TEST_P(FingerprintTest, MatchesPrePoolKernel) {
   const GoldenFingerprint& golden = GetParam();
   ChaosScenario scenario = GenerateScenario(golden.seed, golden.profile);
-  scenario.vectorized = golden.vectorized;
+  scenario.vector_batch_size = golden.batch;
   const ChaosRunResult result = RunScenario(scenario, ChaosRunOptions{});
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.trace_events, golden.events)
-      << ReproCommand(golden.seed, golden.profile, golden.vectorized);
+      << ReproCommand(golden.seed, golden.profile, golden.batch);
   EXPECT_EQ(result.trace_hash, golden.hash)
-      << ReproCommand(golden.seed, golden.profile, golden.vectorized);
+      << ReproCommand(golden.seed, golden.profile, golden.batch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GoldenSeeds, FingerprintTest, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<GoldenFingerprint>& info) {
-      return (info.param.vectorized ? "vec_" : "") +
+      return (info.param.batch != 1 ? "vec_" : "") +
              ProfilePrefix(info.param.profile) +
              std::to_string(info.param.seed);
     });

@@ -1,6 +1,7 @@
 #include "chaos/scenario.h"
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,33 @@ TEST(ScenarioTest, JoinQueriesAlwaysUseRetrospectiveResponse) {
 TEST(ScenarioTest, ReproCommandNamesTheSeed) {
   EXPECT_EQ(ReproCommand(42), "chaos_repro --seed=42");
   EXPECT_EQ(ReproCommand(0), "chaos_repro --seed=0");
+}
+
+// The batch size a run used round-trips through its repro command: the
+// command names the size (omitted at the default of 1), and the scenario
+// rebuilt from the command describes itself exactly like the one that ran.
+TEST(ScenarioTest, ReproCommandRoundTripsBatchSize) {
+  EXPECT_EQ(ReproCommand(7, ChaosProfile::kStandard, 1),
+            "chaos_repro --seed=7");
+  EXPECT_EQ(ReproCommand(7, ChaosProfile::kLossy, 64),
+            "chaos_repro --seed=7 --lossy --batch=64");
+  for (const size_t batch : {size_t{1}, size_t{2}, size_t{7}, size_t{16},
+                             size_t{64}, size_t{256}}) {
+    ChaosScenario ran = GenerateScenario(11);
+    ran.vector_batch_size = batch;
+    const std::string command =
+        ReproCommand(11, ChaosProfile::kStandard, ran.vector_batch_size);
+    const size_t flag = command.find(" --batch=");
+    ChaosScenario replayed = GenerateScenario(11);
+    if (flag != std::string::npos) {
+      replayed.vector_batch_size = std::stoul(command.substr(flag + 9));
+    }
+    EXPECT_EQ(replayed.vector_batch_size, batch) << command;
+    EXPECT_EQ(replayed.Describe(), ran.Describe()) << command;
+    EXPECT_EQ(ran.Describe().find(" batch=") != std::string::npos,
+              batch != 1)
+        << ran.Describe();
+  }
 }
 
 TEST(ScenarioTest, DescribeMentionsInjectedChaos) {

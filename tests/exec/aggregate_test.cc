@@ -10,6 +10,7 @@
 #include "plan/optimizer.h"
 #include "sql/parser.h"
 #include "storage/datagen.h"
+#include "tests/exec/batch_step.h"
 #include "workload/experiment.h"
 #include "workload/grid_setup.h"
 
@@ -173,12 +174,12 @@ class HashAggregateOpTest : public ::testing::Test {
   }
 
   Status Feed(const std::string& k, int64_t v, int bucket = 0) {
-    return agg_->Process(0, Tuple(schema_, {Value(k), Value(v)}), bucket,
-                         &ctx_);
+    return StepRow(agg_.get(), 0, Tuple(schema_, {Value(k), Value(v)}),
+                   bucket, &ctx_);
   }
 
   std::map<std::string, Tuple> FinishAndIndex() {
-    ctx_.ResetForTuple();
+    ctx_.ResetForBatch(0);
     EXPECT_TRUE(agg_->Finish(&ctx_).ok());
     std::map<std::string, Tuple> by_key;
     for (const Tuple& t : ctx_.out) by_key.emplace(t[0].AsString(), t);
@@ -194,7 +195,7 @@ TEST_F(HashAggregateOpTest, AccumulatesPerGroup) {
   ASSERT_TRUE(Feed("a", 10).ok());
   ASSERT_TRUE(Feed("a", 20).ok());
   ASSERT_TRUE(Feed("b", 5).ok());
-  EXPECT_TRUE(ctx_.retained);
+  EXPECT_TRUE(LastRowRetained(ctx_));
   EXPECT_EQ(agg_->GroupCount(), 2u);
 
   auto rows = FinishAndIndex();
@@ -234,8 +235,9 @@ TEST_F(HashAggregateOpTest, FinishOnEmptyStateEmitsNothing) {
 }
 
 TEST_F(HashAggregateOpTest, InvalidPortRejected) {
-  EXPECT_TRUE(agg_->Process(1, Tuple(schema_, {Value("a"), Value(int64_t{1})}),
-                            0, &ctx_)
+  EXPECT_TRUE(StepRow(agg_.get(), 1,
+                      Tuple(schema_, {Value("a"), Value(int64_t{1})}), 0,
+                      &ctx_)
                   .IsInvalidArgument());
 }
 

@@ -59,7 +59,7 @@ TEST(BatchEdgeTest, EmptyBatchChargesNothingEmitsNothing) {
   TupleBatch in, out;
   ASSERT_TRUE(filter->ProcessBatch(0, &in, &out, &ctx).ok());
   EXPECT_EQ(out.size(), 0u);
-  // Scalar mode charges nothing for zero tuples; ChargeN must match.
+  // Zero rows charge nothing: no empty part reaches the node.
   EXPECT_TRUE(ctx.charges.empty());
   EXPECT_EQ(ctx.ledger.TotalCount(), 0u);
 
@@ -179,10 +179,12 @@ TEST(BatchEdgeTest, CompactKeepsSurvivorsInOrder) {
 
 // Freeze/thaw under batch stepping, end to end: these pinned seeds apply
 // full state-move rounds (freeze -> redirect -> purge -> resend -> thaw)
-// while every fragment steps batch-at-a-time, and every invariant —
-// result multiset vs. the unperturbed oracle included — must still hold.
-// Seed 87 is the historical duplicate-build-insert scenario; its 8 rounds
-// include recovery resends racing in-flight batches.
+// while every fragment steps kStateMoveBatch rows at a time, and every
+// invariant — result multiset vs. the unperturbed oracle included — must
+// still hold. The second pin's 8+ rounds (11 when pinned) include
+// recovery resends racing in-flight batches.
+constexpr size_t kStateMoveBatch = 16;
+
 struct VecStateMovePin {
   uint64_t seed;
   uint64_t min_rounds_applied;
@@ -193,7 +195,7 @@ class VecStateMoveTest : public ::testing::TestWithParam<VecStateMovePin> {};
 TEST_P(VecStateMoveTest, RoundsApplyUnderBatchExecution) {
   const VecStateMovePin& pin = GetParam();
   chaos::ChaosScenario scenario = chaos::GenerateScenario(pin.seed);
-  scenario.vectorized = true;
+  scenario.vector_batch_size = kStateMoveBatch;
   const chaos::ChaosRunResult result = chaos::RunScenario(scenario);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.ok()) << result.Report();
@@ -202,12 +204,13 @@ TEST_P(VecStateMoveTest, RoundsApplyUnderBatchExecution) {
   // change stops these seeds from moving state, the pin has gone stale
   // and a new seed must be chosen.
   EXPECT_GE(result.stats.rounds_applied, pin.min_rounds_applied)
-      << chaos::ReproCommand(pin.seed, chaos::ChaosProfile::kStandard, true);
+      << chaos::ReproCommand(pin.seed, chaos::ChaosProfile::kStandard,
+                             kStateMoveBatch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedSeeds, VecStateMoveTest,
-    ::testing::Values(VecStateMovePin{13, 5}, VecStateMovePin{87, 8}),
+    ::testing::Values(VecStateMovePin{13, 5}, VecStateMovePin{90, 8}),
     [](const ::testing::TestParamInfo<VecStateMovePin>& info) {
       return "seed" + std::to_string(info.param.seed);
     });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "plan/cost_model.h"
+#include "tests/exec/batch_step.h"
 #include "storage/datagen.h"
 
 namespace gqp {
@@ -31,8 +32,8 @@ TEST(FilterOperatorTest, DropsNonMatching) {
   desc.cost_tag = "op:filter";
   FilterOperator filter(desc);
   ExecContext ctx;
-  ASSERT_TRUE(filter.Process(0, SeqRow("A", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(filter.Process(0, SeqRow("B", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&filter, 0, SeqRow("A", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&filter, 0, SeqRow("B", "x"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   EXPECT_EQ(ctx.out[0][0].AsString(), "A");
   // Cost charged for both evaluations.
@@ -47,7 +48,7 @@ TEST(ProjectOperatorTest, ComputesExpressions) {
       {{"len", DataType::kInt64}, {"orf", DataType::kString}});
   ProjectOperator project(desc);
   ExecContext ctx;
-  ASSERT_TRUE(project.Process(0, SeqRow("K", "abcde"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&project, 0, SeqRow("K", "abcde"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   EXPECT_EQ(ctx.out[0][0].AsInt64(), 5);
   EXPECT_EQ(ctx.out[0][1].AsString(), "K");
@@ -65,12 +66,12 @@ TEST(OperationCallOperatorTest, AppendsComputedColumn) {
                                 {"e", DataType::kDouble}});
   OperationCallOperator op(desc);
   ExecContext ctx;
-  ASSERT_TRUE(op.Process(0, SeqRow("K", "abab"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&op, 0, SeqRow("K", "abab"), -1, &ctx).ok());
   ASSERT_EQ(ctx.out.size(), 1u);
   ASSERT_EQ(ctx.out[0].size(), 3u);
   EXPECT_DOUBLE_EQ(ctx.out[0][2].AsDouble(), 1.0);
   ASSERT_EQ(ctx.charges.size(), 1u);
-  EXPECT_EQ(ctx.charges[0].first, "ws:EntropyAnalyser");
+  EXPECT_EQ(ctx.charges[0].tag, "ws:EntropyAnalyser");
 }
 
 TEST(OperationCallOperatorTest, BadArgColumnFails) {
@@ -80,7 +81,7 @@ TEST(OperationCallOperatorTest, BadArgColumnFails) {
   desc.arg_col = 9;
   OperationCallOperator op(desc);
   ExecContext ctx;
-  EXPECT_TRUE(op.Process(0, SeqRow("K", "x"), -1, &ctx).IsOutOfRange());
+  EXPECT_TRUE(StepRow(&op, 0, SeqRow("K", "x"), -1, &ctx).IsOutOfRange());
 }
 
 class HashJoinTest : public ::testing::Test {
@@ -113,85 +114,85 @@ class HashJoinTest : public ::testing::Test {
 };
 
 TEST_F(HashJoinTest, BuildRetainsTuples) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  EXPECT_TRUE(ctx_.retained);
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  EXPECT_TRUE(LastRowRetained(ctx_));
   EXPECT_TRUE(ctx_.out.empty());
   EXPECT_EQ(join_->StateSize(), 1u);
   EXPECT_EQ(join_->StateSizeForBucket(3), 1u);
 }
 
 TEST_F(HashJoinTest, ProbeEmitsMatches) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   ASSERT_EQ(ctx_.out.size(), 1u);
   EXPECT_EQ(ctx_.out[0].size(), 4u);
   EXPECT_EQ(ctx_.out[0][0].AsString(), "A");
   EXPECT_EQ(ctx_.out[0][3].AsString(), "B");
-  EXPECT_FALSE(ctx_.retained);
+  EXPECT_FALSE(LastRowRetained(ctx_));
 }
 
 TEST_F(HashJoinTest, ProbeMissEmitsNothing) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("Z", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("Z", "B"), 3, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, DuplicateBuildKeysAllMatch) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s2"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s2"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 2u);
 }
 
 TEST_F(HashJoinTest, ProbeOnlySeesOwnBucket) {
   // Equal keys always share a bucket in production; a mismatched bucket
   // (as after a partition purge) must find nothing.
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 4, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "B"), 4, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, PurgeBucketsDropsState) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("B", "s2"), 5, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("B", "s2"), 5, &ctx_).ok());
   join_->PurgeBuckets({3});
   EXPECT_EQ(join_->StateSize(), 1u);
   EXPECT_EQ(join_->StateSizeForBucket(3), 0u);
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "x"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "x"), 3, &ctx_).ok());
   EXPECT_TRUE(ctx_.out.empty());
 }
 
 TEST_F(HashJoinTest, StateRebuildAfterPurge) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   join_->PurgeBuckets({3});
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   EXPECT_EQ(join_->duplicate_build_inserts(), 0u);
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), 3, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "B"), 3, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 1u);
 }
 
 TEST_F(HashJoinTest, DuplicateInsertDetectorFires) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), 3, &ctx_).ok());
   EXPECT_EQ(join_->duplicate_build_inserts(), 1u);
 }
 
 TEST_F(HashJoinTest, NegativeBucketNormalizedToZero) {
-  ASSERT_TRUE(join_->Process(0, SeqRow("A", "s1"), -1, &ctx_).ok());
-  ctx_.ResetForTuple();
-  ASSERT_TRUE(join_->Process(1, ProbeRow("A", "B"), -1, &ctx_).ok());
+  ASSERT_TRUE(StepRow(join_.get(), 0, SeqRow("A", "s1"), -1, &ctx_).ok());
+  ctx_.ResetForBatch(0);
+  ASSERT_TRUE(StepRow(join_.get(), 1, ProbeRow("A", "B"), -1, &ctx_).ok());
   EXPECT_EQ(ctx_.out.size(), 1u);
 }
 
 TEST_F(HashJoinTest, InvalidPortFails) {
   EXPECT_TRUE(
-      join_->Process(2, SeqRow("A", "s"), 0, &ctx_).IsInvalidArgument());
+      StepRow(join_.get(), 2, SeqRow("A", "s"), 0, &ctx_).IsInvalidArgument());
 }
 
 TEST(CollectOperatorTest, AccumulatesResults) {
@@ -201,10 +202,33 @@ TEST(CollectOperatorTest, AccumulatesResults) {
   desc.cost_tag = "op:collect";
   CollectOperator collect(desc);
   ExecContext ctx;
-  ASSERT_TRUE(collect.Process(0, SeqRow("A", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(collect.Process(0, SeqRow("B", "y"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&collect, 0, SeqRow("A", "x"), -1, &ctx).ok());
+  ASSERT_TRUE(StepRow(&collect, 0, SeqRow("B", "y"), -1, &ctx).ok());
   EXPECT_EQ(collect.results().size(), 2u);
   EXPECT_TRUE(ctx.out.empty());  // collect is a sink
+}
+
+TEST(CollectOperatorTest, SingleRowBatchesGrowResultsGeometrically) {
+  PhysOpDesc desc;
+  desc.kind = PhysOpKind::kCollect;
+  desc.base_cost_ms = 0.01;
+  desc.cost_tag = "op:collect";
+  CollectOperator collect(desc);
+  ExecContext ctx;
+  constexpr size_t kRows = 4096;
+  size_t capacity_changes = 0;
+  size_t capacity = collect.results().capacity();
+  for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(StepRow(&collect, 0, SeqRow("A", "x"), -1, &ctx).ok());
+    if (collect.results().capacity() != capacity) {
+      capacity = collect.results().capacity();
+      ++capacity_changes;
+    }
+  }
+  EXPECT_EQ(collect.results().size(), kRows);
+  // Geometric growth reallocates O(log n) times (13 doublings for 4096
+  // rows); an exact-fit reserve per batch would reallocate on every row.
+  EXPECT_LE(capacity_changes, 2 * 13u);
 }
 
 TEST(OperatorChainTest, EmitFlowsThroughChain) {
@@ -220,23 +244,34 @@ TEST(OperatorChainTest, EmitFlowsThroughChain) {
   project_desc.out_schema = MakeSchema({{"orf", DataType::kString}});
   ProjectOperator project(project_desc);
 
-  filter.set_next(&project);
+  // The driver's chain walk: each operator's output batch is the next
+  // one's input.
   ExecContext ctx;
-  ASSERT_TRUE(filter.Process(0, SeqRow("keep", "x"), -1, &ctx).ok());
-  ASSERT_TRUE(filter.Process(0, SeqRow("skip", "x"), -1, &ctx).ok());
-  ASSERT_EQ(ctx.out.size(), 1u);
-  EXPECT_EQ(ctx.out[0].size(), 1u);
+  ctx.ResetForBatch(2);
+  TupleBatch in, filtered, projected;
+  in.Append(SeqRow("keep", "x"), -1, 0);
+  in.Append(SeqRow("skip", "x"), -1, 1);
+  ASSERT_TRUE(filter.ProcessBatch(0, &in, &filtered, &ctx).ok());
+  ASSERT_TRUE(project.ProcessBatch(0, &filtered, &projected, &ctx).ok());
+  ASSERT_EQ(projected.size(), 1u);
+  EXPECT_EQ(projected.tuple(0).size(), 1u);
+  EXPECT_EQ(projected.origin(0), 0u);
 }
 
 TEST(ExecContextTest, ResetClearsPerTupleState) {
   ExecContext ctx;
+  ctx.ResetForBatch(1);
   ctx.Charge("a", 1.0);
-  ctx.retained = true;
+  ctx.row_retained[0] = 1;
   ctx.out.push_back(SeqRow("x", "y"));
-  ctx.ResetForTuple();
+  ctx.out_origin.push_back(0);
+  ctx.ResetForBatch(2);
   EXPECT_TRUE(ctx.charges.empty());
-  EXPECT_FALSE(ctx.retained);
+  EXPECT_EQ(ctx.row_retained, (std::vector<unsigned char>{0, 0}));
   EXPECT_TRUE(ctx.out.empty());
+  EXPECT_TRUE(ctx.out_origin.empty());
+  // The whole-run ledger survives the reset.
+  EXPECT_EQ(ctx.ledger.TotalCount(), 1u);
 }
 
 TEST(ExecContextTest, TotalBaseCostSums) {

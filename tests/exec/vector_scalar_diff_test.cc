@@ -1,18 +1,19 @@
-// Scalar/vector differential harness (DESIGN.md §D13). Every operator is
-// driven over randomized inputs in both execution modes — the scalar
-// per-tuple Process chain and the batch-at-a-time ProcessBatch walk the
-// driver performs — and the two runs must agree exactly:
+// Batch-size invariance harness (DESIGN.md §D13). Every operator is
+// driven over randomized inputs through ProcessBatch exactly as
+// OperatorDriver walks a chain, once at batch size 1 — the row-at-a-time
+// reference, what the suite's name calls "scalar" — and once at each
+// wider size; every run must agree with the reference exactly:
 //
 //   * byte-identical result sets (rendered rows, in emission order),
 //   * per-row identical retention decisions, and
 //   * bit-identical total charged cost via the ChargeLedger (integer
 //     counts per (tag, unit) pair; the totals are summed by the same
-//     sequence of floating-point operations in both modes, so EXPECT_EQ
-//     on the doubles is exact, not a tolerance check).
+//     sequence of floating-point operations at every batch size, so
+//     EXPECT_EQ on the doubles is exact, not a tolerance check).
 //
-// Batch sizes cover the degenerate single-row batch, small primes that
-// force ragged final batches, the configured default, and a batch wider
-// than the whole input. Seeds are fixed: a red run is reproducible.
+// Batch sizes cover small primes that force ragged final batches, the
+// common power-of-two widths, and a batch wider than the whole input.
+// Seeds are fixed: a red run is reproducible.
 
 #include <cstdint>
 #include <memory>
@@ -70,48 +71,37 @@ std::vector<StreamRow> MakeSeqStream(uint64_t seed, size_t n, int port,
 
 using Chain = std::vector<std::unique_ptr<PhysicalOperator>>;
 
-/// Everything a differential run observes: rendered outputs in emission
-/// order, per-input retention decisions in input order, and the
-/// cumulative charge ledger.
+/// Everything a run observes: rendered outputs in emission order,
+/// per-input retention decisions in input order, and the cumulative
+/// charge ledger.
 struct RunTrace {
   std::vector<std::string> outputs;
   std::vector<bool> retained;
   ChargeLedger ledger;
 };
 
-/// Reference semantics: the scalar per-tuple chain exactly as the
-/// executor drives it (Process chained through set_next, then Finish).
-RunTrace RunScalar(const Chain& ops, const std::vector<StreamRow>& rows,
-                   bool finish) {
-  for (size_t i = 0; i + 1 < ops.size(); ++i) {
-    ops[i]->set_next(ops[i + 1].get());
+/// Walks `in` through ops[first..] the way OperatorDriver::RunChainBatch
+/// does — ping-ponging two scratch batches — and returns the survivors of
+/// the last operator.
+TupleBatch WalkChain(const Chain& ops, size_t first, int port, TupleBatch in,
+                     ExecContext* ctx) {
+  TupleBatch next;
+  for (size_t i = first; i < ops.size(); ++i) {
+    next.Clear();
+    EXPECT_TRUE(ops[i]->ProcessBatch(port, &in, &next, ctx).ok());
+    in.Swap(next);
+    port = 0;
   }
-  ExecContext ctx;
-  RunTrace trace;
-  for (const StreamRow& row : rows) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Process(row.port, row.tuple, row.bucket, &ctx).ok());
-    trace.retained.push_back(ctx.retained);
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
-  }
-  if (finish) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Finish(&ctx).ok());
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
-  }
-  trace.ledger = ctx.ledger;
-  return trace;
+  return in;
 }
 
-/// Batch semantics: slices the stream into port-homogeneous batches of at
-/// most `batch_size` rows (ragged final slice included) and walks the
-/// chain the way OperatorDriver::RunChainBatch does — ping-ponging two
-/// scratch batches, no Emit chaining.
-RunTrace RunVectorized(const Chain& ops, const std::vector<StreamRow>& rows,
-                       size_t batch_size, bool finish) {
-  for (size_t i = 0; i + 1 < ops.size(); ++i) {
-    ops[i]->set_next(ops[i + 1].get());
-  }
+/// Slices the stream into port-homogeneous batches of at most
+/// `batch_size` rows (ragged final slice included) and walks each through
+/// the chain; with `finish`, runs every operator's Finish in chain order
+/// and walks its flushed rows through the rest of the chain, as
+/// OperatorDriver::FinishChain does.
+RunTrace RunBatched(const Chain& ops, const std::vector<StreamRow>& rows,
+                    size_t batch_size, bool finish) {
   ExecContext ctx;
   RunTrace trace;
   size_t pos = 0;
@@ -126,57 +116,75 @@ RunTrace RunVectorized(const Chain& ops, const std::vector<StreamRow>& rows,
     }
     const size_t batch_rows = in.size();
     ctx.ResetForBatch(batch_rows);
-    TupleBatch scratch_a, scratch_b;
-    TupleBatch* cur = &in;
-    TupleBatch* next = &scratch_a;
-    int step_port = port;
-    for (const auto& op : ops) {
-      next->Clear();
-      EXPECT_TRUE(op->ProcessBatch(step_port, cur, next, &ctx).ok());
-      TupleBatch* spent = cur == &in ? &scratch_b : cur;
-      cur = next;
-      next = spent;
-      step_port = 0;
-    }
-    for (size_t i = 0; i < cur->size(); ++i) {
-      trace.outputs.push_back(cur->tuple(i).ToString());
+    const TupleBatch survivors = WalkChain(ops, 0, port, std::move(in), &ctx);
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      trace.outputs.push_back(survivors.tuple(i).ToString());
     }
     for (size_t i = 0; i < batch_rows; ++i) {
       trace.retained.push_back(ctx.row_retained[i] != 0);
     }
   }
   if (finish) {
-    ctx.ResetForTuple();
-    EXPECT_TRUE(ops[0]->Finish(&ctx).ok());
-    for (const Tuple& t : ctx.out) trace.outputs.push_back(t.ToString());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ctx.ResetForBatch(0);
+      EXPECT_TRUE(ops[i]->Finish(&ctx).ok());
+      TupleBatch flushed;
+      for (size_t r = 0; r < ctx.out.size(); ++r) {
+        flushed.Append(ctx.out[r], -1, static_cast<uint32_t>(r));
+      }
+      const TupleBatch survivors =
+          WalkChain(ops, i + 1, 0, std::move(flushed), &ctx);
+      for (size_t r = 0; r < survivors.size(); ++r) {
+        trace.outputs.push_back(survivors.tuple(r).ToString());
+      }
+    }
   }
   trace.ledger = ctx.ledger;
   return trace;
 }
 
-void ExpectTracesEqual(const RunTrace& scalar, const RunTrace& vec,
+void ExpectTracesEqual(const RunTrace& reference, const RunTrace& batched,
                        uint64_t seed, size_t batch_size) {
   const std::string where =
       "seed=" + std::to_string(seed) + " batch=" + std::to_string(batch_size);
-  ASSERT_EQ(scalar.outputs, vec.outputs) << where;
-  ASSERT_EQ(scalar.retained, vec.retained) << where;
-  ASSERT_EQ(scalar.ledger.entries.size(), vec.ledger.entries.size()) << where;
-  for (size_t i = 0; i < scalar.ledger.entries.size(); ++i) {
-    EXPECT_EQ(scalar.ledger.entries[i].tag, vec.ledger.entries[i].tag)
+  ASSERT_EQ(reference.outputs, batched.outputs) << where;
+  ASSERT_EQ(reference.retained, batched.retained) << where;
+  ASSERT_EQ(reference.ledger.entries.size(), batched.ledger.entries.size())
+      << where;
+  for (size_t i = 0; i < reference.ledger.entries.size(); ++i) {
+    EXPECT_EQ(reference.ledger.entries[i].tag, batched.ledger.entries[i].tag)
         << where;
-    EXPECT_EQ(scalar.ledger.entries[i].unit_ms, vec.ledger.entries[i].unit_ms)
+    EXPECT_EQ(reference.ledger.entries[i].unit_ms,
+              batched.ledger.entries[i].unit_ms)
         << where;
-    EXPECT_EQ(scalar.ledger.entries[i].count, vec.ledger.entries[i].count)
+    EXPECT_EQ(reference.ledger.entries[i].count,
+              batched.ledger.entries[i].count)
         << where;
   }
   // Bit-identical, not approximately equal: both totals are the same
   // float operations in the same order (DESIGN.md §D13).
-  EXPECT_EQ(scalar.ledger.TotalMs(), vec.ledger.TotalMs()) << where;
-  EXPECT_EQ(scalar.ledger.TotalCount(), vec.ledger.TotalCount()) << where;
+  EXPECT_EQ(reference.ledger.TotalMs(), batched.ledger.TotalMs()) << where;
+  EXPECT_EQ(reference.ledger.TotalCount(), batched.ledger.TotalCount())
+      << where;
+}
+
+/// Runs `make_chain()` over `rows` at batch 1 and at every kBatchSizes
+/// width, comparing each against the batch-1 reference. Returns the
+/// reference trace.
+template <typename MakeChain>
+RunTrace ExpectBatchSizeInvariant(MakeChain make_chain,
+                                  const std::vector<StreamRow>& rows,
+                                  bool finish, uint64_t seed) {
+  const RunTrace reference = RunBatched(make_chain(), rows, 1, finish);
+  for (size_t batch : kBatchSizes) {
+    ExpectTracesEqual(reference, RunBatched(make_chain(), rows, batch, finish),
+                      seed, batch);
+  }
+  return reference;
 }
 
 // ---- Chain builders (fresh state per run: stateful operators cannot be
-// shared between the scalar and vectorized executions) -------------------
+// shared between runs) ---------------------------------------------------
 
 Chain MakeFilterProjectOpcallChain(uint64_t seed) {
   // Vary the predicate threshold with the seed so selectivity ranges from
@@ -273,19 +281,27 @@ Chain MakeCollectChain() {
   return ops;
 }
 
-// ---- Differential sweeps ------------------------------------------------
+Chain MakeAggregateProjectChain() {
+  Chain ops = MakeAggregateChain();
+  PhysOpDesc project;
+  project.kind = PhysOpKind::kProject;
+  project.exprs = {Col(0, "orf"), Col(2, "sum")};
+  project.out_schema = MakeSchema(
+      {{"orf", DataType::kString}, {"sum", DataType::kInt64}});
+  project.base_cost_ms = 0.05;
+  project.cost_tag = "op:project";
+  ops.push_back(std::make_unique<ProjectOperator>(project));
+  return ops;
+}
+
+// ---- Invariance sweeps ----------------------------------------------------
 
 TEST(VectorScalarDiffTest, FilterOpcallProjectChain) {
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed, 40 + seed % 37, /*port=*/0, /*num_buckets=*/0);
-    const RunTrace scalar =
-        RunScalar(MakeFilterProjectOpcallChain(seed), rows, /*finish=*/false);
-    for (size_t batch : kBatchSizes) {
-      const RunTrace vec = RunVectorized(MakeFilterProjectOpcallChain(seed),
-                                         rows, batch, /*finish=*/false);
-      ExpectTracesEqual(scalar, vec, seed, batch);
-    }
+    ExpectBatchSizeInvariant([seed] { return MakeFilterProjectOpcallChain(seed); },
+                             rows, /*finish=*/false, seed);
   }
 }
 
@@ -309,13 +325,7 @@ TEST(VectorScalarDiffTest, JoinBuildThenProbe) {
       r.bucket = r.tuple[0].AsString().back() % 4;
     }
     rows.insert(rows.end(), probes.begin(), probes.end());
-
-    const RunTrace scalar = RunScalar(MakeJoinChain(), rows, /*finish=*/false);
-    for (size_t batch : kBatchSizes) {
-      const RunTrace vec =
-          RunVectorized(MakeJoinChain(), rows, batch, /*finish=*/false);
-      ExpectTracesEqual(scalar, vec, seed, batch);
-    }
+    ExpectBatchSizeInvariant(MakeJoinChain, rows, /*finish=*/false, seed);
   }
 }
 
@@ -324,13 +334,15 @@ TEST(VectorScalarDiffTest, AggregateAccumulateAndFinish) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed + 1000, 45 + seed % 23, /*port=*/0,
                       /*num_buckets=*/3);
-    const RunTrace scalar =
-        RunScalar(MakeAggregateChain(), rows, /*finish=*/true);
-    for (size_t batch : kBatchSizes) {
-      const RunTrace vec =
-          RunVectorized(MakeAggregateChain(), rows, batch, /*finish=*/true);
-      ExpectTracesEqual(scalar, vec, seed, batch);
-    }
+    const RunTrace reference =
+        ExpectBatchSizeInvariant(MakeAggregateChain, rows, /*finish=*/true,
+                                 seed);
+    // Every input row is absorbed into state; one output row per group.
+    for (const bool retained : reference.retained) EXPECT_TRUE(retained);
+    EXPECT_FALSE(reference.outputs.empty());
+    // Finish's flushed groups flow through the rest of the chain.
+    ExpectBatchSizeInvariant(MakeAggregateProjectChain, rows,
+                             /*finish=*/true, seed);
   }
 }
 
@@ -339,39 +351,42 @@ TEST(VectorScalarDiffTest, CollectSink) {
     const std::vector<StreamRow> rows =
         MakeSeqStream(seed + 2000, 25 + seed, /*port=*/0, /*num_buckets=*/0);
     // The sink swallows rows into results_ instead of emitting, so the
-    // differential check is on the collected rows plus the ledger.
-    Chain scalar_chain = MakeCollectChain();
-    Chain vec_chain = MakeCollectChain();
-    const RunTrace scalar = RunScalar(scalar_chain, rows, /*finish=*/false);
-    const RunTrace vec = RunVectorized(vec_chain, rows, 7, /*finish=*/false);
-    ExpectTracesEqual(scalar, vec, seed, 7);
-    const auto* scalar_sink =
-        static_cast<CollectOperator*>(scalar_chain[0].get());
-    const auto* vec_sink = static_cast<CollectOperator*>(vec_chain[0].get());
-    ASSERT_EQ(scalar_sink->results().size(), vec_sink->results().size());
-    for (size_t i = 0; i < scalar_sink->results().size(); ++i) {
-      EXPECT_EQ(scalar_sink->results()[i].ToString(),
-                vec_sink->results()[i].ToString());
+    // check is on the collected rows plus the ledger.
+    Chain reference_chain = MakeCollectChain();
+    const RunTrace reference =
+        RunBatched(reference_chain, rows, 1, /*finish=*/false);
+    const auto* reference_sink =
+        static_cast<CollectOperator*>(reference_chain[0].get());
+    for (size_t batch : kBatchSizes) {
+      Chain chain = MakeCollectChain();
+      ExpectTracesEqual(reference, RunBatched(chain, rows, batch, false), seed,
+                        batch);
+      const auto* sink = static_cast<CollectOperator*>(chain[0].get());
+      ASSERT_EQ(reference_sink->results().size(), sink->results().size());
+      for (size_t i = 0; i < sink->results().size(); ++i) {
+        EXPECT_EQ(reference_sink->results()[i].ToString(),
+                  sink->results()[i].ToString());
+      }
     }
   }
 }
 
-// Satellite: exact per-batch charge accounting. The ledger total must be
-// bit-identical across every batch size — not within an epsilon — because
-// per-batch parts are charged as (unit, count) and only multiplied out in
-// one canonical entry order.
+// Exact per-row charge accounting. The ledger total must be bit-identical
+// across every batch size — not within an epsilon — because per-batch
+// parts are charged as (unit, count) and only multiplied out in one
+// canonical entry order.
 TEST(VectorScalarDiffTest, ChargeTotalsBitIdenticalAcrossBatchSizes) {
   const std::vector<StreamRow> rows =
       MakeSeqStream(77, 333, /*port=*/0, /*num_buckets=*/0);
-  const RunTrace scalar =
-      RunScalar(MakeFilterProjectOpcallChain(77), rows, /*finish=*/false);
-  const double canonical = scalar.ledger.TotalMs();
+  const RunTrace reference =
+      RunBatched(MakeFilterProjectOpcallChain(77), rows, 1, /*finish=*/false);
+  const double canonical = reference.ledger.TotalMs();
   ASSERT_GT(canonical, 0.0);
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
-    const RunTrace vec = RunVectorized(MakeFilterProjectOpcallChain(77), rows,
-                                       batch, /*finish=*/false);
-    EXPECT_EQ(vec.ledger.TotalMs(), canonical) << "batch=" << batch;
-    EXPECT_EQ(vec.ledger.TotalCount(), scalar.ledger.TotalCount())
+  for (size_t batch : {size_t{7}, size_t{64}, size_t{1024}}) {
+    const RunTrace batched = RunBatched(MakeFilterProjectOpcallChain(77), rows,
+                                        batch, /*finish=*/false);
+    EXPECT_EQ(batched.ledger.TotalMs(), canonical) << "batch=" << batch;
+    EXPECT_EQ(batched.ledger.TotalCount(), reference.ledger.TotalCount())
         << "batch=" << batch;
   }
 }
