@@ -125,27 +125,6 @@ class Metrics {
   std::vector<std::pair<std::string, double>> values_;
 };
 
-/// Reads one numeric metric back out of a BENCH_*.json file written by
-/// Metrics::WriteJson (used by bench_hotpath --check; not a general JSON
-/// parser). Returns false when the file or key is absent.
-inline bool ReadJsonMetric(const std::string& path, const std::string& key,
-                           double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  std::string contents;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, n);
-  }
-  std::fclose(f);
-  const std::string needle = StrCat("\"", key, "\":");
-  const size_t pos = contents.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(contents.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 }  // namespace gqp::bench
 
 #endif  // GRIDQP_BENCH_BENCH_UTIL_H_

@@ -1,7 +1,5 @@
 #include "exec/flat_join_table.h"
 
-#include <algorithm>
-
 namespace gqp {
 
 namespace {
@@ -22,12 +20,7 @@ size_t NextPow2(size_t n) {
 
 void FlatJoinTable::Reserve(size_t expected_rows) {
   if (expected_rows == 0) return;
-  if (expected_rows > entries_.capacity()) {
-    // At least double: batched builds call Reserve with a running total
-    // every batch, and an exact-fit reserve each time would degrade the
-    // entry vector to quadratic reallocation.
-    entries_.reserve(std::max(expected_rows, entries_.capacity() * 2));
-  }
+  entries_.reserve(expected_rows);
   const size_t wanted = NextPow2(expected_rows * kLoadDen / kLoadNum + 1);
   if (wanted > slots_.size()) Rehash(wanted);
 }

@@ -14,7 +14,6 @@
 #define GRIDQP_EXEC_FLAT_JOIN_TABLE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -44,101 +43,9 @@ class FlatJoinTable {
   template <typename Fn>
   void ForEachMatch(uint64_t hash, Fn&& fn) const {
     if (entries_.empty()) return;
-    ForEachMatchFrom(FindHead(hash), std::forward<Fn>(fn));
-  }
-
-  /// 1-based offset of the chain head for `hash`, or 0 when absent. Lets
-  /// batched probes split the slot lookup from the chain walk so the
-  /// entry fetch can be prefetched between the two.
-  uint32_t Head(uint64_t hash) const {
-    if (entries_.empty()) return 0;
-    return FindHead(hash);
-  }
-
-  /// No-candidate sentinel for CandidateSlot.
-  static constexpr uint32_t kNoSlot = ~uint32_t{0};
-
-  /// First slot whose 8-bit tag matches `hash` (linear scan from the home
-  /// slot, stopping at an empty slot), with the candidate's entry
-  /// prefetched; kNoSlot when the scan hits an empty slot first. The
-  /// candidate is unconfirmed — 1 in 256 colliding hashes alias the tag —
-  /// so callers must resolve it with ConfirmHead. Splitting the tag scan
-  /// (cache-resident) from the confirmation (an entry fetch) lets batched
-  /// probes overlap the entry misses of a whole batch.
-  uint32_t CandidateSlot(uint64_t hash) const {
-    if (entries_.empty()) return kNoSlot;
-    const size_t mask = slots_.size() - 1;
-    const uint8_t tag = TagOf(hash);
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == 0) return kNoSlot;
-      if (tags_[i] == tag) {
-        PrefetchEntry(slots_[i]);
-        return static_cast<uint32_t>(i);
-      }
-    }
-  }
-
-  /// Resolves a CandidateSlot result to a chain head (1-based offset, or
-  /// 0 when the candidate was a tag alias and no later slot matches).
-  uint32_t ConfirmHead(uint64_t hash, uint32_t slot) const {
-    const size_t mask = slots_.size() - 1;
-    const uint8_t tag = TagOf(hash);
-    for (size_t i = slot;; i = (i + 1) & mask) {
-      const uint32_t at = slots_[i];
-      if (at == 0) return 0;
-      if (tags_[i] == tag && entries_[at - 1].hash == hash) return at;
-    }
-  }
-
-  /// Walks the chain starting at a head previously returned by Head().
-  template <typename Fn>
-  void ForEachMatchFrom(uint32_t head, Fn&& fn) const {
-    for (uint32_t at = head; at != 0; at = entries_[at - 1].next) {
+    for (uint32_t at = FindHead(hash); at != 0; at = entries_[at - 1].next) {
       fn(entries_[at - 1].tuple);
     }
-  }
-
-  /// Hints the cache about the slot a subsequent Head(hash) or
-  /// ForEachMatch(hash) will touch first. Batched probes hash a whole
-  /// batch up front, prefetch, then probe — hiding the slot-array miss
-  /// behind the other rows' work.
-  void Prefetch(uint64_t hash) const {
-    if (slots_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    const size_t i = hash & (slots_.size() - 1);
-    __builtin_prefetch(&slots_[i]);
-    __builtin_prefetch(&tags_[i]);
-#endif
-  }
-
-  /// Hints the cache about the chain-head entry for a head returned by
-  /// Head(). No-op for head == 0.
-  void PrefetchEntry(uint32_t head) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (head != 0) __builtin_prefetch(&entries_[head - 1]);
-#else
-    (void)head;
-#endif
-  }
-
-  /// Hints the cache about the chain-head tuple's payload and the second
-  /// chain entry. Precondition: the head entry itself is already cached
-  /// (a PrefetchEntry(head) issued earlier) — this reads it to chase the
-  /// payload pointer one pipeline stage before the match walk needs it.
-  void PrefetchMatchPayload(uint32_t head) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (head == 0) return;
-    const Entry& e = entries_[head - 1];
-    PrefetchPayload(e.tuple);
-    if (e.next != 0) {
-      // The next entry struct is almost always on the head's cache line
-      // (entries are 24 bytes, chains insert consecutively), so chasing
-      // one link here is cheap — and its payload is a different row.
-      PrefetchPayload(entries_[e.next - 1].tuple);
-    }
-#else
-    (void)head;
-#endif
   }
 
   size_t size() const { return entries_.size(); }
@@ -151,16 +58,6 @@ class FlatJoinTable {
   void Clear();
 
  private:
-#if defined(__GNUC__) || defined(__clang__)
-  /// Prefetches the first two cache lines of a tuple's value array (the
-  /// key compare and output concat read the whole row).
-  static void PrefetchPayload(const Tuple& tuple) {
-    const char* v = reinterpret_cast<const char*>(tuple.data());
-    __builtin_prefetch(v);
-    __builtin_prefetch(v + 64);
-  }
-#endif
-
   // 24 bytes: small enough that a chain walk touches few cache lines. The
   // key is deliberately absent — it is a column of `tuple`.
   struct Entry {

@@ -25,15 +25,10 @@ Status FilterOperator::ProcessBatch(int, TupleBatch* in, TupleBatch* out,
                                     ExecContext* ctx) {
   const size_t n = in->size();
   ctx->ChargeN(tag_, cost_ms_, n);
-  std::vector<unsigned char>& mask = ctx->mask;
-  mask.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     GQP_ASSIGN_OR_RETURN(Value v,
                          predicate_->Eval(in->tuple(i), ctx->functions));
-    mask[i] = ValueIsTrue(v) ? 1 : 0;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (mask[i] != 0) out->Append(in->TakeTuple(i), -1, in->origin(i));
+    if (ValueIsTrue(v)) out->Append(in->TakeTuple(i), -1, in->origin(i));
   }
   return Status::OK();
 }
@@ -126,48 +121,14 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
   const size_t n = in->size();
   if (port == 0) {
     ctx->ChargeN(tag_, build_cost_ms_, n);
-    // Pre-size each touched bucket for its share of the batch so entry
-    // vectors and slot arrays grow at most once per batch. Both passes
-    // walk the rows, not the bucket range, so a one-row batch costs O(1);
-    // the second pass leaves every count at zero for the next batch.
-    for (size_t i = 0; i < n; ++i) {
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      if (bucket >= batch_bucket_counts_.size()) {
-        batch_bucket_counts_.resize(bucket + 1, 0);
-      }
-      ++batch_bucket_counts_[bucket];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      size_t& count = batch_bucket_counts_[bucket];
-      if (count == 0) continue;  // reserved for an earlier row
-      FlatJoinTable& table = TableForBucket(static_cast<int>(bucket));
-      table.Reserve(table.size() + count);
-      count = 0;
-    }
-    // Pass 2: hash the key column and prefetch each row's destination
-    // slot, so the insert loop's slot-array misses overlap with the
-    // following rows' hashing.
-    hash_scratch_.clear();
-    hash_scratch_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const Tuple& tuple = in->tuple(i);
       if (build_key_ >= tuple.size()) {
         return Status::OutOfRange("build key column out of range");
       }
-      const uint64_t hash = tuple.at(build_key_).JoinHash();
-      hash_scratch_.push_back(hash);
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      state_[bucket].Prefetch(hash);
-    }
-    // Pass 3: insert.
-    for (size_t i = 0; i < n; ++i) {
-      const Tuple& tuple = in->tuple(i);
       const int bucket = in->bucket(i) < 0 ? 0 : in->bucket(i);
-      if (TableForBucket(bucket).Insert(hash_scratch_[i], tuple)) {
+      if (TableForBucket(bucket).Insert(tuple.at(build_key_).JoinHash(),
+                                        tuple)) {
         ++duplicate_build_inserts_;
         GQP_LOG_WARN << "hash join: duplicate build insert, key="
                      << tuple.at(build_key_).ToString()
@@ -181,72 +142,20 @@ Status HashJoinOperator::ProcessBatch(int port, TupleBatch* in,
   }
   if (port == 1) {
     ctx->ChargeN(tag_, probe_cost_ms_, n);
-    // Pass 1: hash the key column and prefetch each row's slot, so the
-    // table's cache misses overlap with the next rows' hashing instead of
-    // stalling the probe loop.
-    hash_scratch_.clear();
-    hash_scratch_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const Tuple& tuple = in->tuple(i);
       if (probe_key_ >= tuple.size()) {
         return Status::OutOfRange("probe key column out of range");
       }
-      const uint64_t hash = tuple.at(probe_key_).JoinHash();
-      hash_scratch_.push_back(hash);
       const size_t bucket =
           static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      if (bucket < state_.size()) state_[bucket].Prefetch(hash);
-    }
-    // Pass 2a: scan the (cache-resident) slot tags for each row's
-    // candidate chain head; CandidateSlot prefetches the candidate's
-    // entry, so the entry-vector misses of the whole batch overlap.
-    cand_scratch_.clear();
-    cand_scratch_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      cand_scratch_.push_back(bucket < state_.size()
-                                  ? state_[bucket].CandidateSlot(
-                                        hash_scratch_[i])
-                                  : FlatJoinTable::kNoSlot);
-    }
-    // Pass 2b: confirm each candidate against its (now cached) entry.
-    head_scratch_.clear();
-    head_scratch_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t head = 0;
-      if (cand_scratch_[i] != FlatJoinTable::kNoSlot) {
-        const size_t bucket =
-            static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-        head = state_[bucket].ConfirmHead(hash_scratch_[i],
-                                          cand_scratch_[i]);
-      }
-      head_scratch_.push_back(head);
-    }
-    // Pass 3: walk the chains and emit. A short lookahead prefetches the
-    // build payloads ~kLookahead rows before the emit touches them —
-    // far enough to cover a memory round trip, near enough that the
-    // lines are still resident when consumed (a whole-batch prefetch
-    // pass floods the L2 instead).
-    constexpr size_t kLookahead = 12;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kLookahead < n && head_scratch_[i + kLookahead] != 0) {
-        const size_t pf_bucket = static_cast<size_t>(
-            in->bucket(i + kLookahead) < 0 ? 0 : in->bucket(i + kLookahead));
-        state_[pf_bucket].PrefetchMatchPayload(head_scratch_[i + kLookahead]);
-      }
-      const uint32_t head = head_scratch_[i];
-      if (head == 0) continue;
-      const size_t bucket =
-          static_cast<size_t>(in->bucket(i) < 0 ? 0 : in->bucket(i));
-      const Tuple& tuple = in->tuple(i);
+      if (bucket >= state_.size()) continue;
       const Value& key = tuple.at(probe_key_);
       const uint32_t origin = in->origin(i);
-      state_[bucket].ForEachMatchFrom(head, [&](const Tuple& build_tuple) {
+      state_[bucket].ForEachMatch(key.JoinHash(), [&](const Tuple& build) {
         // Hash collision: the stored key is the build tuple's key column.
-        if (build_tuple.at(build_key_) != key) return;
-        out->Append(Tuple::Concat(out_schema_, build_tuple, tuple), -1,
-                    origin);
+        if (build.at(build_key_) != key) return;
+        out->Append(Tuple::Concat(out_schema_, build, tuple), -1, origin);
       });
     }
     return Status::OK();

@@ -92,8 +92,6 @@ struct ExecContext {
   ChargeLedger ledger;
   /// Scalar function implementations for filter/project expressions.
   const FunctionRegistry* functions = &FunctionRegistry::Builtins();
-  /// Shared predicate-mask scratch for batch filters (capacity reuse).
-  std::vector<unsigned char> mask;
 
   void Charge(std::string_view tag, double ms) { ChargeN(tag, ms, 1); }
   /// Charges `n` rows at `unit_ms` each as one part. No-op for an empty
@@ -203,9 +201,8 @@ class HashJoinOperator : public PhysicalOperator {
  public:
   explicit HashJoinOperator(const PhysOpDesc& desc);
 
-  /// Build: inserts the whole batch, marking every row retained. Probe:
-  /// hashes the key column up front, prefetches the bucket tables, then
-  /// probes in a tight loop.
+  /// Build: inserts each row into its bucket's table and marks it
+  /// retained. Probe: emits each row's matches in build insertion order.
   Status ProcessBatch(int port, TupleBatch* in, TupleBatch* out,
                       ExecContext* ctx) override;
   void PurgeBuckets(const std::vector<int>& buckets) override;
@@ -236,16 +233,6 @@ class HashJoinOperator : public PhysicalOperator {
   // Build state, one flat table per logical partition (DESIGN.md
   // "Performance engineering"); index = bucket id, grown on demand.
   std::vector<FlatJoinTable> state_;
-  /// Per-batch key-hash scratch (capacity reused across batches).
-  std::vector<uint64_t> hash_scratch_;
-  /// Per-batch probe candidate-slot scratch (capacity reused across
-  /// batches).
-  std::vector<uint32_t> cand_scratch_;
-  /// Per-batch probe chain-head scratch (capacity reused across batches).
-  std::vector<uint32_t> head_scratch_;
-  /// Per-batch build-row count per bucket for one-shot table pre-sizing;
-  /// all zero between batches.
-  std::vector<size_t> batch_bucket_counts_;
   size_t duplicate_build_inserts_ = 0;
 };
 

@@ -1,5 +1,5 @@
-// TupleBatch: a column-addressable run of tuples, the unit of work of an
-// operator step (DESIGN.md §D13). A batch carries, per row,
+// TupleBatch: a run of tuples, the unit of work of an operator step
+// (DESIGN.md §D13). A batch carries, per row,
 // the tuple itself, the logical exchange bucket it was routed to, and the
 // row's *origin* — its index in the batch the driver popped from the input
 // queue — so per-input-tuple bookkeeping (retained flags, the
@@ -8,9 +8,7 @@
 //
 // Batches are transient scratch space: operators consume one batch and
 // append to the next, so the backing vectors are reused across steps
-// (Clear keeps capacity). Column() materializes a per-row Value-pointer
-// view of one column so tight loops (join key probes, operation-call
-// arguments) skip the per-row header indirection of Tuple::at.
+// (Clear keeps capacity).
 
 #ifndef GRIDQP_STORAGE_TUPLE_BATCH_H_
 #define GRIDQP_STORAGE_TUPLE_BATCH_H_
@@ -52,19 +50,6 @@ class TupleBatch {
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
   int bucket(size_t i) const { return buckets_[i]; }
   uint32_t origin(size_t i) const { return origins_[i]; }
-
-  /// Replaces row i's tuple in place (projection-style rewrites that
-  /// preserve bucket and origin).
-  void ReplaceTuple(size_t i, Tuple tuple) { tuples_[i] = std::move(tuple); }
-
-  /// Per-row pointers to column `col`, in row order. Rows too narrow for
-  /// the column yield nullptr; callers check once per batch instead of
-  /// per row. The view is invalidated by any mutation of the batch.
-  void FillColumn(size_t col, std::vector<const Value*>* view) const;
-
-  /// Keeps exactly the rows with mask[i] != 0 (stable order). mask must
-  /// have size() entries.
-  void Compact(const std::vector<unsigned char>& mask);
 
   void Swap(TupleBatch& other) {
     tuples_.swap(other.tuples_);

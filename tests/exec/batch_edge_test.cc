@@ -163,20 +163,6 @@ TEST(BatchEdgeTest, PurgeBetweenBatchesDropsThenRebuilds) {
   EXPECT_EQ(out.size(), 3u);
 }
 
-TEST(BatchEdgeTest, CompactKeepsSurvivorsInOrder) {
-  TupleBatch batch;
-  for (uint32_t i = 0; i < 6; ++i) {
-    batch.Append(SeqRow("ORF" + std::to_string(i), "x"), -1, i);
-  }
-  const std::vector<unsigned char> mask = {1, 0, 0, 1, 1, 0};
-  batch.Compact(mask);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.tuple(0)[0].AsString(), "ORF0");
-  EXPECT_EQ(batch.tuple(1)[0].AsString(), "ORF3");
-  EXPECT_EQ(batch.tuple(2)[0].AsString(), "ORF4");
-  EXPECT_EQ(batch.origin(2), 4u);
-}
-
 // Freeze/thaw under batch stepping, end to end: these pinned seeds apply
 // full state-move rounds (freeze -> redirect -> purge -> resend -> thaw)
 // while every fragment steps kStateMoveBatch rows at a time, and every

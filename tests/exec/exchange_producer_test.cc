@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace gqp {
 namespace {
 
@@ -216,7 +218,7 @@ TEST(ExchangeProducerTest, RejectsRoundWhenDoneAndLogEmpty) {
 TEST(ExchangeProducerTest, HashRetrospectiveMovesOnlyAffectedBuckets) {
   Harness h(PolicyKind::kHashBuckets, 2, 100);
   for (size_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE(h.producer->Offer(KeyTuple("K" + std::to_string(i))).ok());
+    ASSERT_TRUE(h.producer->Offer(KeyTuple(StrCat("K", i))).ok());
   }
   RedistributeRequestPayload request(1, 2, {0.25, 0.75}, true);
   ASSERT_TRUE(h.producer->HandleRedistribute(request).ok());

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "storage/schema.h"
 
 namespace gqp {
@@ -92,13 +93,40 @@ TEST(FlatJoinTableTest, HashCollisionsShareAChainButKeepTheirKeys) {
   EXPECT_EQ(Matches(table, hash, k2), (std::vector<std::string>{"two"}));
 }
 
+TEST(FlatJoinTableTest, TagAliasesResolveToTheirOwnChains) {
+  // Two hashes with the same tag (high byte) and the same home slot in a
+  // 16-slot table: the second lands one slot past the first, and lookups
+  // must tell them apart by the full hash, not the tag.
+  FlatJoinTable table;
+  const uint64_t first = 0xAB00000000000001ULL;
+  const uint64_t second = 0xAB00000000000011ULL;
+  const uint64_t absent = 0xAB00000000000021ULL;
+  EXPECT_FALSE(table.Insert(first, Row(1, "a1")));
+  EXPECT_FALSE(table.Insert(second, Row(2, "b1")));
+  EXPECT_FALSE(table.Insert(first, Row(1, "a2")));
+  EXPECT_FALSE(table.Insert(second, Row(2, "b2")));
+  ASSERT_EQ(table.slot_capacity(), 16u);
+  EXPECT_EQ(table.distinct_hashes(), 2u);
+
+  auto chain = [&](uint64_t hash) {
+    std::vector<std::string> out;
+    table.ForEachMatch(hash, [&](const Tuple& t) {
+      out.push_back(t[1].AsString());
+    });
+    return out;
+  };
+  EXPECT_EQ(chain(first), (std::vector<std::string>{"a1", "a2"}));
+  EXPECT_EQ(chain(second), (std::vector<std::string>{"b1", "b2"}));
+  EXPECT_TRUE(chain(absent).empty());
+}
+
 TEST(FlatJoinTableTest, GrowthRehashPreservesAllChains) {
   FlatJoinTable table;
   constexpr int kRows = 5000;  // far beyond the initial slot count
   for (int i = 0; i < kRows; ++i) {
     const Value key(int64_t{i % 100});  // 100 distinct keys, 50 rows each
     EXPECT_FALSE(
-        table.Insert(key.Hash(), Row(i % 100, "p" + std::to_string(i))));
+        table.Insert(key.Hash(), Row(i % 100, StrCat("p", i))));
   }
   EXPECT_EQ(table.size(), static_cast<size_t>(kRows));
   EXPECT_EQ(table.distinct_hashes(), 100u);
@@ -110,7 +138,7 @@ TEST(FlatJoinTableTest, GrowthRehashPreservesAllChains) {
     // Insertion order: payload indices ascend by 100.
     for (int j = 0; j < 50; ++j) {
       EXPECT_EQ(got[static_cast<size_t>(j)],
-                "p" + std::to_string(k + 100 * j));
+                StrCat("p", k + 100 * j));
     }
   }
 }
